@@ -3,8 +3,11 @@
 Betti numbers in degree p are f_p - rank(d_p) - rank(d_{p+1}) over the
 chosen coefficients; integer torsion consists of the invariant factors
 greater than one of d_{p+1}.  Ranks and invariant factors come from an
-exact Smith normal form (arbitrary-precision pivoting, smallest-magnitude
-pivot), and the mod-2 path uses direct bitset elimination over GF(2).
+exact Smith normal form in arbitrary precision: a sparse elimination takes
+every +-1 pivot it can reach, in the order of a lazy heap of short columns,
+and only the remainder without unit entries goes through a dense
+smallest-magnitude-pivot routine.  The mod-2 path uses direct bitset
+elimination over GF(2).
 
 Before any matrix work, cubical complexes are shrunk by free-pair
 collapses: a face contained in exactly one face of the next dimension is
@@ -19,6 +22,7 @@ reduction so that it stays an independent oracle for the cubical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -199,12 +203,19 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
     """Nonzero invariant factors of a sparse integer matrix.
 
     ``columns[j]`` lists (row, value) entries.  Entries of magnitude one
-    are eliminated first (each such pivot is a unimodular reduction and
-    contributes an invariant factor 1, leaving the integer Schur
-    complement); Markowitz-style pivot choice keeps fill-in low.  The
-    usually tiny remainder without unit entries goes through the dense
-    routine.  Boundary matrices, whose entries all start at +-1, mostly
-    never reach the dense phase.
+    are eliminated first: each such pivot is a unimodular reduction that
+    contributes an invariant factor 1 and leaves the integer Schur
+    complement.  Pivots come from a lazy min-heap of (column length,
+    column): the shortest live column is popped, and its +-1 entry in the
+    shortest row becomes the pivot, which keeps fill-in low.  An entry
+    whose column is gone or has changed length is stale and skipped; a
+    column without a unit entry is dropped until a later pivot touches it.
+    After a pivot only the touched columns, the keys of the pivot row, are
+    pushed again, so every pop is a pivot or a discard and the pops number
+    at most the columns plus the summed pivot-row lengths.  The usually
+    tiny remainder without unit entries goes through the dense routine.
+    Boundary matrices, whose entries all start at +-1, mostly never reach
+    the dense phase.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}
@@ -214,26 +225,27 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
                 cols.setdefault(j, {})[i] = v
                 rows.setdefault(i, {})[j] = v
 
+    heap = [(len(colmap), j) for j, colmap in cols.items()]
+    heapify(heap)
     unit_rank = 0
-    while True:
-        best_score = None
-        pi = pj = pv = 0
-        for j, colmap in cols.items():
-            cfill = len(colmap) - 1
-            for i, v in colmap.items():
-                if v == 1 or v == -1:
-                    score = (len(rows[i]) - 1) * cfill
-                    if best_score is None or score < best_score:
-                        best_score, pi, pj, pv = score, i, j, v
-                        if score == 0:
-                            break
-            if best_score == 0:
-                break
-        if best_score is None:
-            break
+    while heap:
+        length, pj = heappop(heap)
+        pcol = cols.get(pj)
+        if pcol is None or len(pcol) != length:
+            continue
+        best = pi = pv = 0
+        for i, v in pcol.items():
+            if v == 1 or v == -1:
+                row_length = len(rows[i])
+                if not best or row_length < best:
+                    best, pi, pv = row_length, i, v
+                    if row_length == 1:
+                        break
+        if not best:
+            continue
 
         prow = rows.pop(pi)
-        pcol = cols.pop(pj)
+        del cols[pj]
         del prow[pj]
         del pcol[pi]
         for j2 in prow:
@@ -251,6 +263,8 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
                 elif j2 in row2:
                     del row2[j2]
                     del cols[j2][i2]
+        for j2 in prow:
+            heappush(heap, (len(cols[j2]), j2))
         unit_rank += 1
 
     live_rows = sorted(i for i, entries in rows.items() if entries)

@@ -9,6 +9,7 @@ Two routes that share no code with the cubical pipeline:
   pushed through the simplicial oracle.
 """
 
+import importlib
 import random
 
 from sympy import Matrix, ZZ
@@ -38,15 +39,52 @@ def _sympy_diagonal(rows):
     return tuple(diagonal)
 
 
+def _assert_snf_matches_sympy(data):
+    ours = smith_normal_form(IntegerMatrix.from_rows(data))
+    assert tuple(ours.diagonal) == _sympy_diagonal(data), data
+    assert ours.rank == Matrix(data).rank()
+
+
 def test_snf_matches_sympy_on_random_matrices():
     rng = random.Random(101)
     for _ in range(150):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        ours = smith_normal_form(IntegerMatrix.from_rows(data))
-        assert tuple(ours.diagonal) == _sympy_diagonal(data), data
-        assert ours.rank == Matrix(data).rank()
+        _assert_snf_matches_sympy(data)
+
+
+def test_snf_matches_sympy_on_larger_sparse_matrices():
+    rng = random.Random(107)
+    for _ in range(60):
+        rows = rng.randint(1, 15)
+        cols = rng.randint(1, 15)
+        data = [
+            [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.25 else 0
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        _assert_snf_matches_sympy(data)
+
+
+def test_unit_created_by_fill_in_is_pivoted_sparsely(monkeypatch):
+    """Column 0 (entries 2, 3) has no unit entry, so the heap drops it.
+    Pivoting on column 1 turns its 3 into 3 - 2 = 1; the column must be
+    pushed again and pivoted, so the dense routine sees only the 2."""
+    # the package attribute ``csptopo.homology`` is the function
+    homology_module = importlib.import_module("csptopo.homology")
+    dense = homology_module._snf_diagonal
+    remainders = []
+
+    def recording_dense(data, rows, cols):
+        remainders.append([row[:] for row in data])
+        return dense(data, rows, cols)
+
+    monkeypatch.setattr(homology_module, "_snf_diagonal", recording_dense)
+    data = [[2, 1, 0], [3, 1, 0], [0, 1, 2]]
+    ours = smith_normal_form(IntegerMatrix.from_rows(data))
+    assert remainders == [[[2]]]
+    assert ours.diagonal == (1, 1, 2) == _sympy_diagonal(data)
 
 
 def test_boundary_snf_matches_sympy(fig1, projective_plane):
