@@ -38,3 +38,19 @@ def drop_bit(mask: int, position: int) -> int:
     """Remove bit ``position`` from a mask, shifting higher bits down."""
     low = mask & ((1 << position) - 1)
     return low | ((mask >> (position + 1)) << position)
+
+
+def gf2_rank(column_bitsets) -> int:
+    """Rank over GF(2) of columns given as integer bitsets."""
+    basis: dict[int, int] = {}
+    rank = 0
+    for v in column_bitsets:
+        while v:
+            lead = v.bit_length() - 1
+            w = basis.get(lead)
+            if w is None:
+                basis[lead] = v
+                rank += 1
+                break
+            v ^= w
+    return rank

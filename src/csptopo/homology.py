@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .bits import gf2_rank
 from .cubical import CubicalComplex, IntegerMatrix
 from .errors import PreconditionError
 
@@ -291,22 +292,6 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
     factors = _sparse_invariant_factors(columns, matrix.rows)
     size = min(matrix.rows, matrix.cols)
     return SmithForm(tuple(factors + [0] * (size - len(factors))))
-
-
-def gf2_rank(column_bitsets) -> int:
-    """Rank over GF(2) of columns given as integer bitsets."""
-    basis: dict[int, int] = {}
-    rank = 0
-    for v in column_bitsets:
-        while v:
-            lead = v.bit_length() - 1
-            w = basis.get(lead)
-            if w is None:
-                basis[lead] = v
-                rank += 1
-                break
-            v ^= w
-    return rank
 
 
 # Free-pair collapse on packed cubical face keys.

@@ -1,24 +1,34 @@
 """Logical relations as truth tables and their Schaefer-style classification.
 
-A relation of arity k is stored as the set of its member tuples, each tuple
-encoded as a k-bit integer (see :mod:`csptopo.bits`).  The six tractability
-conditions are decided by closure tests on the truth table:
+A relation R of arity k is stored as the set of its member tuples, each
+tuple encoded as a k-bit integer (see :mod:`csptopo.bits`).  The six
+tractability conditions are decided in polynomial time by the standard
+characterizations (Creignou, Khanna & Sudan, *Complexity Classifications
+of Boolean Constraint Satisfaction Problems*, 2001):
 
-* 0-valid / 1-valid: membership of the constant tuples,
-* Horn / dual-Horn: closure under coordinatewise AND / OR of pairs,
-* bijunctive: closure under coordinatewise majority of triples,
-* affine: closure under coordinatewise XOR of triples.
+* 0-valid / 1-valid: membership of the constant tuples, O(1);
+* Horn / dual-Horn: closure under coordinatewise AND / OR of pairs, every
+  pair looked up in a membership table of size 2^k, O(|R|^2); relations
+  with more than ``PAIR_MAX`` = 2^28 tuple pairs |R|(|R|-1)/2, i.e. more
+  than 23,170 tuples, are refused before any work;
+* bijunctive: R equals the join of its unary and binary projections,
+  O(|R| * k^2) as built here, within the O(2^k * k^2) of testing every
+  tuple of {0,1}^k;
+* affine: R is a coset of a GF(2) subspace, i.e. |R| = 2^rank(R ^ t) for a
+  member t, O(|R| * k) plus one rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .bits import bits_to_index, index_to_bits
+import numpy as np
+
+from .bits import bits_to_index, gf2_rank, index_to_bits
 from .errors import ParseError, PreconditionError, ResourceLimitError
 
 ARITY_MAX = 20
+PAIR_MAX = 1 << 28
 
 #: Condition names in classification order.
 CONDITIONS = ("zero_valid", "one_valid", "horn", "dual_horn", "bijunctive", "affine")
@@ -103,39 +113,73 @@ class SchaeferVerdict:
     with_constants: bool
 
 
-def _majority(a: int, b: int, c: int) -> int:
-    return (a & b) | (a & c) | (b & c)
+def _is_coset(members) -> bool:
+    """True iff the integer bitsets ``members`` form a coset of a GF(2)
+    subspace, i.e. are closed under xor of triples.
+
+    Shifted by one member t, the set must be a subspace, which holds iff it
+    has exactly 2^rank(S ^ t) elements.  The empty set counts as a coset.
+    """
+    return not members or len(members) == 1 << gf2_rank(v ^ members[0] for v in members)
+
+
+def _pair_closed(arr: np.ndarray, inside: np.ndarray, op) -> bool:
+    """Closure of the sorted tuples ``arr`` under ``op`` on pairs.
+
+    Each chunk of rows, about 2^16 pairs, is paired with the tuples from its
+    own start on, so every unordered pair is visited at least once; a pair
+    of equal tuples maps to a member for AND and OR.
+    """
+    rows = max(1, (1 << 16) // max(len(arr), 1))
+    return all(inside[op(arr[start:start + rows, None], arr[None, start:])].all()
+               for start in range(0, len(arr), rows))
+
+
+def _is_binary_join(arr: np.ndarray, arity: int) -> bool:
+    """R equals the join of its unary and binary projections.
+
+    The join is built one coordinate at a time: extend every candidate by
+    coordinate i, then keep those whose projections onto (j, i), j <= i,
+    lie in R's.  R is contained in the join, so R is bijunctive iff the
+    join has |R| tuples.  A bijunctive R is majority-closed, and so is each
+    projection of it, which therefore equals the join of its own binary
+    projections (Baker & Pixley 1975); so while R may be bijunctive, no
+    partial join exceeds |R| and a larger one ends the test.
+    """
+    join = np.zeros(1, dtype=np.int64)
+    for i in range(arity):
+        join = np.concatenate((join, join | (1 << i)))
+        for j in range(i + 1):
+            seen = np.zeros(4, dtype=bool)
+            seen[((arr >> j) & 1) * 2 + ((arr >> i) & 1)] = True
+            join = join[seen[((join >> j) & 1) * 2 + ((join >> i) & 1)]]
+        if len(join) > len(arr):
+            return False
+    return len(join) == len(arr)
 
 
 def relation_properties(rel: Relation) -> PropertyFlags:
     """Decide all six conditions for a single relation.
 
-    Closure tests only need pairwise-distinct pairs/triples: repeating an
-    argument makes AND/OR/majority/XOR collapse to a member already in the
-    relation.  The empty relation is vacuously closed under all four
-    operations but is neither 0- nor 1-valid.
+    Each flag comes from the characterization named in the module
+    docstring: pair closure for Horn / dual-Horn, the join of the binary
+    projections for bijunctive, the coset test for affine.  The empty
+    relation is vacuously Horn, dual-Horn, bijunctive and affine, but
+    neither 0- nor 1-valid.  Raises ResourceLimitError, before any work,
+    when R has more than ``PAIR_MAX`` tuple pairs.
     """
-    tuples = sorted(rel.tuples)
-    full = (1 << rel.arity) - 1
-    members = rel.tuples
-
-    zero_valid = 0 in members
-    one_valid = full in members
-
-    horn = all(a & b in members for a, b in combinations(tuples, 2))
-    dual_horn = all(a | b in members for a, b in combinations(tuples, 2))
-
-    bijunctive = True
-    affine = True
-    for a, b, c in combinations(tuples, 3):
-        if bijunctive and _majority(a, b, c) not in members:
-            bijunctive = False
-        if affine and a ^ b ^ c not in members:
-            affine = False
-        if not (bijunctive or affine):
-            break
-
-    return PropertyFlags(zero_valid, one_valid, horn, dual_horn, bijunctive, affine)
+    if len(rel) * (len(rel) - 1) // 2 > PAIR_MAX:
+        raise ResourceLimitError(f"{len(rel)} tuples exceed the pair cap {PAIR_MAX}")
+    members = sorted(rel.tuples)
+    arr = np.array(members, dtype=np.int64)
+    inside = np.zeros(1 << rel.arity, dtype=bool)
+    inside[arr] = True
+    return PropertyFlags(
+        bool(inside[0]), bool(inside[-1]),
+        _pair_closed(arr, inside, np.bitwise_and),
+        _pair_closed(arr, inside, np.bitwise_or),
+        _is_binary_join(arr, rel.arity), _is_coset(members),
+    )
 
 
 def schaefer_classify(
@@ -152,11 +196,7 @@ def schaefer_classify(
         raise PreconditionError("relation set must be nonempty")
     flags = tuple(relation_properties(r) for r in relations)
     usable = CONDITIONS[2:] if with_constants else CONDITIONS
-    witness = None
-    for cond in usable:
-        if all(f.get(cond) for f in flags):
-            witness = cond
-            break
+    witness = next((c for c in usable if all(f.get(c) for f in flags)), None)
     return SchaeferVerdict(witness is not None, witness, flags, with_constants)
 
 

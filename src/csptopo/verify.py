@@ -28,8 +28,8 @@ from .formula import (
     emit_dimacs,
     formula_in_flavor,
 )
-from .homology import COEFF_Z, gf2_rank, homology
-from .relations import Relation, relation_properties
+from .homology import COEFF_Z, homology
+from .relations import Relation, _is_coset
 from .solution_space import (
     D_MAX,
     VertexSet,
@@ -272,10 +272,9 @@ def check_trivially_valid(
     relations = tuple(relations)
     if not relations:
         raise PreconditionError("relation set must be nonempty")
-    flags = [relation_properties(r) for r in relations]
-    if all(f.zero_valid for f in flags):
+    if all(0 in r for r in relations):
         target_ones = False
-    elif all(f.one_valid for f in flags):
+    elif all((1 << r.arity) - 1 in r for r in relations):
         target_ones = True
     else:
         raise PreconditionError("relations must be all 0-valid or all 1-valid")
@@ -337,21 +336,6 @@ def check_one_in_three_structure(
     return _run_check("one-in-three", params, trials, body)
 
 
-def _is_affine_set(vset: VertexSet) -> bool:
-    """Exact xor-of-triples closure test via a GF(2) span argument.
-
-    Shifting by any member t turns closure under xor of triples into
-    being a linear subspace, which holds iff the set has exactly
-    2^rank(S ^ t) elements.
-    """
-    members = vset.sorted_members()
-    if not members:
-        return True
-    t = members[0]
-    rank = gf2_rank(v ^ t for v in members)
-    return len(members) == 1 << rank
-
-
 def check_projection_constructions(
     params: GeneratorParams, trials: int = 200
 ) -> CheckReport:
@@ -371,7 +355,7 @@ def check_projection_constructions(
             brute = project(affine_solutions(instance), dims)
             constructive = eliminate_affine(instance, dims)
             observed = affine_solutions(constructive)
-            in_class = _is_affine_set(observed)
+            in_class = _is_coset(observed.sorted_members())
             serialization = emit_affine(instance)
         else:
             brute = project(enumerate_solutions(instance), dims)

@@ -7,7 +7,9 @@ projection works on coordinate strings.
 
 from __future__ import annotations
 
-from csptopo import AffineSystem, Clause, Formula, Var
+from itertools import combinations
+
+from csptopo import AffineSystem, Clause, Formula, PropertyFlags, Relation, Var
 
 
 def naive_solutions(formula: Formula) -> set[int]:
@@ -62,3 +64,25 @@ def naive_project(members: set[int], dims, dimension: int) -> set[int]:
         kept = "".join(ch for i, ch in enumerate(string) if i not in removed)
         out.add(sum(1 << i for i, ch in enumerate(kept) if ch == "1"))
     return out
+
+
+def naive_relation_flags(rel: Relation) -> PropertyFlags:
+    """Schaefer flags straight from the closure definitions, O(|R|^3).
+
+    Only pairwise-distinct pairs and triples need testing: repeating an
+    argument makes AND / OR / majority / XOR return a member.
+    """
+    members = rel.tuples
+    tuples = sorted(members)
+    full = (1 << rel.arity) - 1
+    return PropertyFlags(
+        zero_valid=0 in members,
+        one_valid=full in members,
+        horn=all(a & b in members for a, b in combinations(tuples, 2)),
+        dual_horn=all(a | b in members for a, b in combinations(tuples, 2)),
+        bijunctive=all(
+            (a & b) | (a & c) | (b & c) in members
+            for a, b, c in combinations(tuples, 3)
+        ),
+        affine=all(a ^ b ^ c in members for a, b, c in combinations(tuples, 3)),
+    )

@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
+from csptopo.bits import index_to_bits
 from csptopo.cli import main
+from csptopo.relations import PAIR_MAX
 
 from conftest import FIG1_DIMACS
 
@@ -183,6 +186,16 @@ def test_verify_wedge_union_cli(capsys):
 
 def test_resource_cap_exit_code(capsys, fig1_path):
     code, _, err = run(capsys, "betti", fig1_path, "--facemax", "3")
+    assert code == 3 and "error:resource" in err
+
+
+def test_classify_over_pair_cap_exits_3(capsys, tmp_path):
+    count = math.isqrt(2 * PAIR_MAX) + 2
+    arity = count.bit_length()
+    path = tmp_path / "big.txt"
+    path.write_text(f"rel BIG {arity}\n"
+                    + "\n".join(index_to_bits(t, arity) for t in range(count)) + "\n")
+    code, _, err = run(capsys, "classify", str(path))
     assert code == 3 and "error:resource" in err
 
 

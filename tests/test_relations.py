@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,9 @@ from csptopo import (
     schaefer_classify,
     vertexset_to_cnf,
 )
+from csptopo.relations import PAIR_MAX
+
+from oracles import naive_relation_flags
 
 
 def test_parse_single_block(nae):
@@ -108,6 +114,95 @@ def test_r_zero_flags(r_zero):
 def test_empty_relation_vacuous_closures():
     flags = relation_properties(Relation(2, frozenset()))
     assert flags == PropertyFlags(False, False, True, True, True, True)
+
+
+@pytest.mark.parametrize("strings", [("0",), ("1",)])
+def test_arity_one_singletons_are_bijunctive(strings):
+    assert relation_properties(Relation.of(1, strings)).bijunctive
+
+
+def test_flags_match_oracle_on_every_relation_up_to_arity_3():
+    for k in (1, 2, 3):
+        for mask in range(1 << (1 << k)):
+            rel = Relation(k, frozenset(t for t in range(1 << k) if (mask >> t) & 1))
+            assert relation_properties(rel) == naive_relation_flags(rel), rel
+
+
+def test_flags_match_oracle_on_random_relations():
+    rng = random.Random(41)
+    for k in range(4, 8):
+        for density in (0.05, 0.2, 0.5, 0.8, 0.97):
+            for _ in range(6):
+                tuples = frozenset(t for t in range(1 << k) if rng.random() < density)
+                rel = Relation(k, tuples)
+                assert relation_properties(rel) == naive_relation_flags(rel), rel
+
+
+def _two_cnf_models(rng, k):
+    clauses = [
+        ((rng.randrange(k), rng.random() < 0.5), (rng.randrange(k), rng.random() < 0.5))
+        for _ in range(rng.randint(1, 2 * k))
+    ]
+    return frozenset(
+        t for t in range(1 << k)
+        if all(any(((t >> v) & 1) == positive for v, positive in clause)
+               for clause in clauses)
+    )
+
+
+def _coset(rng, k):
+    points = {rng.randrange(1 << k)}
+    for _ in range(rng.randint(0, k)):
+        step = rng.randrange(1 << k)
+        points |= {p ^ step for p in points}
+    return frozenset(points)
+
+
+def _closure(rng, k, op):
+    members = set(rng.sample(range(1 << k), rng.randint(1, 6)))
+    while True:
+        grown = members | {op(a, b) for a in members for b in members}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def test_flags_match_oracle_on_closed_relations():
+    rng = random.Random(42)
+    builders = (
+        _two_cnf_models,
+        _coset,
+        lambda rng, k: _closure(rng, k, int.__and__),
+        lambda rng, k: _closure(rng, k, int.__or__),
+    )
+    seen = dict.fromkeys(("horn", "dual_horn", "bijunctive", "affine"), 0)
+    for k in range(4, 7):
+        for build in builders:
+            for _ in range(10):
+                rel = Relation(k, build(rng, k))
+                flags = relation_properties(rel)
+                assert flags == naive_relation_flags(rel), rel
+                for name in seen:
+                    seen[name] += flags.get(name)
+    # the positive branch of every closure test was exercised
+    assert min(seen.values()) >= 10, seen
+
+
+def test_full_arity_12_relation_classifies_quickly():
+    rel = Relation(12, frozenset(range(1 << 12)))
+    start = time.perf_counter()
+    flags = relation_properties(rel)
+    assert time.perf_counter() - start < 2.0
+    assert flags == PropertyFlags(True, True, True, True, True, True)
+
+
+def test_relation_over_pair_cap_is_refused_fast():
+    count = math.isqrt(2 * PAIR_MAX) + 2
+    rel = Relation(count.bit_length(), frozenset(range(count)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        relation_properties(rel)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_classify_nae(nae):

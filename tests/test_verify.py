@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -25,7 +26,7 @@ from csptopo import (
     relation_properties,
     skeleton_components,
 )
-from csptopo.verify import _is_affine_set
+from csptopo.relations import PAIR_MAX, _is_coset
 
 
 def test_one_in_three_relation_table():
@@ -192,6 +193,14 @@ def test_check_trivially_valid_zero_and_one(r_zero):
     assert check_trivially_valid(params, [ones], trials=30).passed
 
 
+def test_check_trivially_valid_needs_no_classification():
+    # 0-valid, but with more tuple pairs than the Schaefer flags admit
+    count = math.isqrt(2 * PAIR_MAX) + 2
+    big = Relation(count.bit_length(), frozenset(range(count)))
+    params = GeneratorParams(flavor="cnf(3)", dim_range=(15, 15), count_range=(1, 1), seed=0)
+    assert check_trivially_valid(params, [big], trials=2).passed
+
+
 def test_check_trivially_valid_rejects_mixed(r_zero, nae):
     params = GeneratorParams(flavor="cnf(3)", dim_range=(2, 4), count_range=(1, 3), seed=0)
     with pytest.raises(PreconditionError):
@@ -238,11 +247,9 @@ def test_check_projection_constructions_all_flavors():
 
 
 def test_is_affine_set_detects_non_cosets():
-    from csptopo import VertexSet
-
-    assert _is_affine_set(VertexSet(2, frozenset()))
-    assert _is_affine_set(VertexSet(2, frozenset({1, 2})))
-    assert not _is_affine_set(VertexSet(2, frozenset({0, 1, 2})))
+    assert _is_coset([])
+    assert _is_coset([1, 2])
+    assert not _is_coset([0, 1, 2])
 
 
 def test_failure_reporting_shape():
