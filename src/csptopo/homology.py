@@ -10,13 +10,16 @@ smallest-magnitude-pivot routine.  The mod-2 path uses direct bitset
 elimination over GF(2).
 
 Before any matrix work, cubical complexes are shrunk by free-pair
-collapses: a face contained in exactly one face of the next dimension is
-removed together with that coface.  Each such step is an elementary
-collapse, so the reduced complex is homotopy equivalent to the input and
-has identical homology in every degree; on the near-contractible complexes
-this library produces the reduction routinely cuts tens of thousands of
-faces down to a handful.  The simplicial route deliberately skips this
-reduction so that it stays an independent oracle for the cubical one.
+collapses until no face is free: a face contained in exactly one face of
+the next dimension is removed together with that coface.  Each such step
+is an elementary collapse, so the reduced complex is homotopy equivalent
+to the input and has identical homology in every degree.  Complexes above
+8,192 faces are collapsed in vectorized frontier rounds of disjoint pairs,
+smaller ones by a sequential cascade on Python sets.  On the solution
+spaces of 2-SAT, Horn and dual-Horn formulas, whose components are
+contractible, the collapse typically leaves one vertex per component.
+The simplicial route deliberately skips this reduction so that it stays
+an independent oracle for the cubical one.
 """
 
 from __future__ import annotations
@@ -296,71 +299,97 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
 
 # Free-pair collapse on packed cubical face keys.
 
-def _coface_counts(arr: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-face coface count plus, for faces with a single coface, its key."""
+# Complexes with more faces than this are collapsed in vectorized frontier
+# rounds, smaller ones by the sequential cascade, which on small complexes
+# avoids the fixed numpy cost of each round.
+_PEEL_MIN_FACES = 8192
+
+
+def _coface_counts(arr: np.ndarray, d: int) -> np.ndarray:
+    """Number of cofaces of each face of the sorted key array ``arr``."""
     n = len(arr)
     mask = arr >> d
     base = arr & ((1 << d) - 1)
     counts = np.zeros(n, dtype=np.int64)
-    gsum = np.zeros(n, dtype=np.int64)
     for j in range(d):
         bit = 1 << j
         sel = (mask & bit) == 0
         if not sel.any():
             continue
         cand = ((mask[sel] | bit) << d) | (base[sel] & ~bit)
-        pos = np.searchsorted(arr, cand)
-        pos = np.minimum(pos, n - 1)
-        found = arr[pos] == cand
-        counts[sel] += found
-        gsum[sel] += cand * found
-    return counts, gsum
+        pos = np.minimum(np.searchsorted(arr, cand), n - 1)
+        counts[sel] += arr[pos] == cand
+    return counts
 
 
 def _free_pair_collapse(keys: list[int], d: int) -> list[int]:
-    """Repeatedly remove (face, unique coface) pairs; homotopy-preserving.
+    """Remove (free face, its unique coface) pairs until no face is free.
 
-    Large complexes are first peeled in vectorized rounds: all faces with
-    exactly one coface are paired with it, coface collisions keep only the
-    first pair, and the pairs are removed together.  In a downward-closed
-    complex a free face can never be the coface of another free face, so
-    the surviving pairs are disjoint and removing them in any order is a
-    chain of elementary collapses.  A sequential cascade with exact count
-    bookkeeping finishes the job once peeling stops paying off.
+    A face is free when exactly one face of the next dimension contains it.
+    Removing it with that coface is an elementary collapse, so the result
+    is a downward-closed subcomplex homotopy equivalent to the input.
+
+    Above ``_PEEL_MIN_FACES`` faces the collapse runs in frontier rounds on
+    the sorted key array: every free face of the frontier finds its live
+    coface, a coface claimed by several free faces keeps only its first
+    pair, and all pairs are removed at once.  In a downward-closed complex
+    a free face is never the coface of another free face (the two faces
+    between it and the coface's coface would both contain it), so after
+    the shared cofaces are resolved the pairs of one round are disjoint
+    and removing them is a chain of elementary collapses.  The next
+    frontier is the facets of the removed faces that are left with one
+    coface.  Smaller complexes go through a sequential cascade of the same
+    collapses on Python sets.  Both paths are deterministic.
     """
     if not keys:
         return []
     arr = np.array(sorted(keys), dtype=np.int64)
+    counts = _coface_counts(arr, d)
+    if len(arr) > _PEEL_MIN_FACES:
+        return _frontier_peel(arr, counts, d)
+    return _cascade(arr, counts, d)
+
+
+def _frontier_peel(arr: np.ndarray, counts: np.ndarray, d: int) -> list[int]:
     full = (1 << d) - 1
-
-    while len(arr) > 8192:
-        counts, gsum = _coface_counts(arr, d)
-        free = counts == 1
-        if not free.any():
-            return arr.tolist()  # already a core, nothing is collapsible
-        fkeys = arr[free]
-        gkeys = gsum[free]
-        _, first = np.unique(gkeys, return_index=True)
-        first.sort()
-        removed = np.concatenate([fkeys[first], gkeys[first]])
-        if len(removed) < 0.05 * len(arr):
-            break
-        arr = arr[~np.isin(arr, removed, assume_unique=True)]
-
     n = len(arr)
-    mask = arr >> d
-    base = arr & full
-    counts = np.zeros(n, dtype=np.int64)
-    for j in range(d):
-        bit = 1 << j
-        sel = (mask & bit) == 0
-        if not sel.any():
-            continue
-        cand = ((mask[sel] | bit) << d) | (base[sel] & ~bit)
-        pos = np.searchsorted(arr, cand)
-        pos = np.minimum(pos, n - 1)
-        counts[sel] += arr[pos] == cand
+    alive = np.ones(n, dtype=bool)
+    frontier = np.flatnonzero(counts == 1)
+    while len(frontier):
+        fkeys = arr[frontier]
+        fmask = fkeys >> d
+        fbase = fkeys & full
+        coface = np.empty(len(frontier), dtype=np.int64)
+        for j in range(d):
+            bit = 1 << j
+            sel = np.flatnonzero((fmask & bit) == 0)
+            cand = ((fmask[sel] | bit) << d) | (fbase[sel] & ~bit)
+            pos = np.minimum(np.searchsorted(arr, cand), n - 1)
+            hit = (arr[pos] == cand) & alive[pos]
+            coface[sel[hit]] = pos[hit]
+        cofaces, first = np.unique(coface, return_index=True)
+        removed = np.concatenate([frontier[first], cofaces])
+        alive[removed] = False
 
+        rkeys = arr[removed]
+        rmask = rkeys >> d
+        rbase = rkeys & full
+        facets = []
+        for j in range(d):
+            bit = 1 << j
+            sel = (rmask & bit) != 0
+            sub = (rmask[sel] ^ bit) << d
+            base = rbase[sel]
+            facets.append(sub | (base & ~bit))
+            facets.append(sub | base | bit)
+        touched = np.searchsorted(arr, np.concatenate(facets))
+        np.subtract.at(counts, touched, 1)
+        frontier = np.unique(touched[alive[touched] & (counts[touched] == 1)])
+    return arr[alive].tolist()
+
+
+def _cascade(arr: np.ndarray, counts: np.ndarray, d: int) -> list[int]:
+    full = (1 << d) - 1
     alive = set(arr.tolist())
     cof = dict(zip(arr.tolist(), counts.tolist()))
     stack = [k for k, c in cof.items() if c == 1]

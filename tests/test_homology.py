@@ -19,7 +19,8 @@ from csptopo import (
     simplicial_to_vertexset,
     smith_normal_form,
 )
-from csptopo.homology import _snf_diagonal
+from csptopo.homology import _PEEL_MIN_FACES, _free_pair_collapse, _snf_diagonal
+from csptopo.verify import GeneratorParams, random_formula
 
 
 def test_snf_identity():
@@ -150,6 +151,79 @@ def test_collapse_agrees_on_random_larger_sets():
             assert homology(complex_, coeffs) == homology(
                 complex_, coeffs, reduce=False
             )
+
+
+def _random_set(d, size, seed):
+    rng = np.random.default_rng(seed)
+    return induce_complex(
+        VertexSet(d, frozenset(int(v) for v in rng.choice(1 << d, size, replace=False)))
+    )
+
+
+def _formula_complex(flavor, trial):
+    params = GeneratorParams(flavor, (11, 12), (3, 8), seed=5)
+    return induce_complex(enumerate_solutions(random_formula(params, trial)))
+
+
+def _euler(keys, d):
+    return sum(-1 if (k >> d).bit_count() % 2 else 1 for k in keys)
+
+
+# Dense random d=10 sets need about 78 % of the vertices to pass the gate;
+# below that they stay under it and take the sequential cascade.
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _random_set(10, 800, 0),
+        lambda: _random_set(10, 800, 1),
+        lambda: _random_set(10, 830, 2),
+        lambda: _formula_complex("horn", 2),
+        lambda: _formula_complex("dual_horn", 2),
+        lambda: _formula_complex("two_sat", 2),
+    ],
+    ids=["random-0", "random-1", "random-2", "horn", "dual_horn", "two_sat"],
+)
+def test_frontier_peel_above_gate_agrees_with_unreduced(make):
+    complex_ = make()
+    d = complex_.dimension
+    keys = complex_.face_keys()
+    assert len(keys) > _PEEL_MIN_FACES
+    collapsed = _free_pair_collapse(keys, d)
+    survivors = set(collapsed)
+    full = (1 << d) - 1
+    for k in collapsed:
+        m, b = k >> d, k & full
+        free = m
+        while free:
+            low = free & -free
+            sub = (m ^ low) << d
+            assert sub | (b & ~low) in survivors and sub | b | low in survivors
+            free ^= low
+    assert _euler(collapsed, d) == _euler(keys, d)
+    for coeffs in ("Z", "Z2"):
+        assert homology(complex_, coeffs) == homology(complex_, coeffs, reduce=False)
+
+
+def test_horn_formula_that_stalled_collapses_to_a_point():
+    """A d=14 Horn formula (205,683 faces) with a contractible solution
+    space; a peel that stopped early left 20,569 faces here."""
+    params = GeneratorParams("horn", (13, 14), (5, 9), seed=3)
+    complex_ = induce_complex(enumerate_solutions(random_formula(params, 6)))
+    start = time.perf_counter()
+    assert len(_free_pair_collapse(complex_.face_keys(), complex_.dimension)) == 1
+    profile = homology(complex_)
+    elapsed = time.perf_counter() - start
+    assert profile.betti[0] == 1 and profile.is_trivial_above(1)
+    assert elapsed < 10.0, elapsed
+
+
+def test_full_cube_12_collapses_to_a_point_in_bounded_time():
+    complex_ = induce_complex(full_cube(12))
+    start = time.perf_counter()
+    collapsed = _free_pair_collapse(complex_.face_keys(), 12)
+    elapsed = time.perf_counter() - start
+    assert len(collapsed) == 1
+    assert elapsed < 5.0, elapsed
 
 
 def test_mod2_fast_path_agrees_with_snf_reduced_mod_2():
