@@ -49,11 +49,8 @@ from .cubical import (
     FACE_MAX,
     CubicalComplex,
     Face,
-    IntegerMatrix,
     boundary_columns,
-    boundary_matrix,
     emit_complex,
-    f_vector,
     induce_complex,
     skeleton_components,
     union_complex,
@@ -63,11 +60,9 @@ from .homology import (
     COEFF_Z,
     COEFF_Z2,
     HomologyProfile,
-    SmithForm,
     gf2_rank,
     homology,
     simplicial_homology,
-    smith_normal_form,
 )
 from .constructions import (
     ReductionResult,

@@ -6,6 +6,12 @@ zero on free coordinates).  The complex induced by a vertex set V consists
 of every face all of whose vertices lie in V; it is graded by dimension
 and closed under subfaces.
 
+The one stored encoding of a face is its packed key
+``(free_mask << d) | base``: each grade of a ``CubicalComplex`` is a
+sorted, read-only int64 key array, which every library path reads.
+``CubicalComplex.faces`` is a derived view that builds ``Face`` pairs, in
+the same order, for the public API and tests.
+
 Faces are found by breadth-first growth: a p-face exists exactly when its
 two opposite (p-1)-faces obtained by fixing the highest free coordinate
 both exist, so each grade is built by merging parallel faces of the grade
@@ -15,12 +21,13 @@ below.  This touches only faces that are actually present instead of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .bits import index_to_bits, iter_bits
+from .bits import index_to_bits
 from .errors import PreconditionError, ResourceLimitError
 from .solution_space import VertexSet
 
@@ -36,34 +43,57 @@ class Face(NamedTuple):
         return self.free_mask.bit_count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicalComplex:
-    """Graded face lists; ``generator`` is the inducing vertex set, or None
-    for complexes assembled as unions of induced complexes."""
+    """Graded faces as sorted, read-only int64 key arrays, one per
+    dimension; ``generator`` is the inducing vertex set, or None for
+    complexes assembled as unions of induced complexes.  Compared and
+    hashed by value."""
 
     dimension: int
-    faces: tuple[tuple[Face, ...], ...]
+    levels: tuple[np.ndarray, ...]
     generator: VertexSet | None = None
+
+    def __post_init__(self):
+        for level in self.levels:
+            level.flags.writeable = False
+
+    def _value(self):
+        return self.dimension, self.generator, tuple(level.tobytes() for level in self.levels)
+
+    def __eq__(self, other):
+        if not isinstance(other, CubicalComplex):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    @property
+    def faces(self) -> tuple[tuple[Face, ...], ...]:
+        """The grades as ``Face`` tuples, built on each access."""
+        d = self.dimension
+        low = (1 << d) - 1
+        return tuple(
+            tuple(Face(k >> d, k & low) for k in level.tolist()) for level in self.levels
+        )
 
     @property
     def top_dimension(self) -> int:
-        return len(self.faces) - 1
+        return len(self.levels) - 1
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.faces)
+        return tuple(len(level) for level in self.levels)
 
     def face_count(self) -> int:
-        return sum(len(level) for level in self.faces)
+        return sum(self.f_vector())
 
     def vertices(self) -> tuple[int, ...]:
-        if not self.faces:
-            return ()
-        return tuple(f.base for f in self.faces[0])
+        return tuple(self.levels[0].tolist()) if self.levels else ()
 
-    def face_keys(self) -> list[int]:
-        """All faces packed as (free_mask << dimension) | base."""
-        d = self.dimension
-        return [(f.free_mask << d) | f.base for level in self.faces for f in level]
+    def face_keys(self) -> np.ndarray:
+        """All faces packed as (free_mask << dimension) | base, grade by grade."""
+        return np.concatenate(self.levels or (np.empty(0, dtype=np.int64),))
 
 
 def _grow_level(keys: np.ndarray, d: int) -> np.ndarray:
@@ -95,28 +125,16 @@ def _grow_level(keys: np.ndarray, d: int) -> np.ndarray:
 def induce_complex(vset: VertexSet, face_max: int = FACE_MAX) -> CubicalComplex:
     """Build the induced cubical complex of a vertex set."""
     d = vset.dimension
-    if not vset.members:
-        return CubicalComplex(d, (), vset)
+    levels = []
     level = np.array(vset.sorted_members(), dtype=np.int64)
-    levels = [level]
-    total = len(level)
-    if total > face_max:
-        raise ResourceLimitError(f"face budget {face_max} exceeded")
-    while True:
-        nxt = _grow_level(levels[-1], d)
-        if len(nxt) == 0:
-            break
-        total += len(nxt)
+    total = 0
+    while len(level):
+        total += len(level)
         if total > face_max:
             raise ResourceLimitError(f"face budget {face_max} exceeded")
-        levels.append(nxt)
-    graded = []
-    low_mask = (1 << d) - 1
-    for arr in levels:
-        graded.append(
-            tuple(Face(k >> d, k & low_mask) for k in arr.tolist())
-        )
-    return CubicalComplex(d, tuple(graded), vset)
+        levels.append(level)
+        level = _grow_level(level, d)
+    return CubicalComplex(d, tuple(levels), vset)
 
 
 def union_complex(complexes) -> CubicalComplex:
@@ -131,92 +149,51 @@ def union_complex(complexes) -> CubicalComplex:
     d = complexes[0].dimension
     if any(k.dimension != d for k in complexes):
         raise PreconditionError("dimension mismatch in union")
-    top = max((k.top_dimension for k in complexes), default=-1)
-    graded = []
-    for p in range(top + 1):
-        merged = set()
-        for k in complexes:
-            if p <= k.top_dimension:
-                merged.update(k.faces[p])
-        graded.append(tuple(sorted(merged)))
-    while graded and not graded[-1]:
-        graded.pop()
-    return CubicalComplex(d, tuple(graded), None)
+    top = max(k.top_dimension for k in complexes)
+    levels = tuple(
+        reduce(np.union1d, [k.levels[p] for k in complexes if p <= k.top_dimension])
+        for p in range(top + 1)
+    )
+    return CubicalComplex(d, levels, None)
 
 
-def f_vector(complex_: CubicalComplex) -> tuple[int, ...]:
-    return complex_.f_vector()
+def _cubical_columns(lower: list[int], upper: list[int], d: int):
+    """Sparse boundary columns between two consecutive grades of keys.
 
-
-@dataclass
-class IntegerMatrix:
-    """Dense integer matrix with exact (arbitrary-precision) entries."""
-
-    rows: int
-    cols: int
-    data: list[list[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.data:
-            self.data = [[0] * self.cols for _ in range(self.rows)]
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("inconsistent matrix dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "IntegerMatrix":
-        return cls(len(rows), len(rows[0]) if rows else 0, [list(r) for r in rows])
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = IntegerMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            out_row = out.data[i]
-            for k, a in enumerate(row):
-                if a:
-                    other_row = other.data[k]
-                    for j in range(other.cols):
-                        out_row[j] += a * other_row[j]
-        return out
-
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for v in row) for row in self.data)
+    For a face with free coordinates j_1 < ... < j_p the boundary is the
+    alternating sum over t of (face with j_t fixed to 1) minus (face with
+    j_t fixed to 0), with sign (-1)^(t-1).  Each column lists (row, sign)
+    pairs, rows indexing ``lower``.
+    """
+    row_of = {k: i for i, k in enumerate(lower)}
+    full = (1 << d) - 1
+    columns = []
+    for k in upper:
+        m = k >> d
+        b = k & full
+        col = []
+        sign = 1
+        free = m
+        while free:
+            low = free & -free
+            sub = (m ^ low) << d
+            col.append((row_of[sub | b | low], sign))
+            col.append((row_of[sub | (b & ~low)], -sign))
+            sign = -sign
+            free ^= low
+        columns.append(col)
+    return columns
 
 
 def boundary_columns(
     complex_: CubicalComplex, p: int
 ) -> list[list[tuple[int, int]]]:
-    """Sparse boundary operator: one (row, sign) list per p-face.
-
-    For a face with free coordinates j_1 < ... < j_p the boundary is the
-    alternating sum over t of (face with j_t fixed to 1) minus (face with
-    j_t fixed to 0), with sign (-1)^(t-1).
-    """
+    """Sparse boundary operator d_p: one (row, sign) list per p-face, rows
+    indexing the (p-1)-faces in key order."""
     if not 1 <= p <= complex_.top_dimension:
         raise PreconditionError(f"boundary degree {p} out of range")
-    row_of = {f: i for i, f in enumerate(complex_.faces[p - 1])}
-    columns = []
-    for face in complex_.faces[p]:
-        col = []
-        for t, j in enumerate(iter_bits(face.free_mask), start=1):
-            sign = 1 if t % 2 == 1 else -1
-            bit = 1 << j
-            sub_mask = face.free_mask ^ bit
-            col.append((row_of[Face(sub_mask, face.base | bit)], sign))
-            col.append((row_of[Face(sub_mask, face.base)], -sign))
-        columns.append(col)
-    return columns
-
-
-def boundary_matrix(complex_: CubicalComplex, p: int) -> IntegerMatrix:
-    """Dense boundary matrix from p-faces (columns) to (p-1)-faces (rows)."""
-    columns = boundary_columns(complex_, p)
-    out = IntegerMatrix(len(complex_.faces[p - 1]), len(columns))
-    for j, col in enumerate(columns):
-        for i, sign in col:
-            out.data[i][j] += sign
-    return out
+    lower, upper = complex_.levels[p - 1], complex_.levels[p]
+    return _cubical_columns(lower.tolist(), upper.tolist(), complex_.dimension)
 
 
 def skeleton_components(complex_: CubicalComplex) -> tuple[int, dict[int, int]]:
@@ -225,7 +202,7 @@ def skeleton_components(complex_: CubicalComplex) -> tuple[int, dict[int, int]]:
     Returns (count, labels) where labels maps each vertex index to a
     component id; ids are assigned in order of smallest member vertex.
     """
-    if not complex_.faces:
+    if not complex_.levels:
         return 0, {}
     parent: dict[int, int] = {v: v for v in complex_.vertices()}
 
@@ -238,9 +215,10 @@ def skeleton_components(complex_: CubicalComplex) -> tuple[int, dict[int, int]]:
         return root
 
     if complex_.top_dimension >= 1:
-        for edge in complex_.faces[1]:
-            a = edge.base
-            b = edge.base | edge.free_mask
+        d = complex_.dimension
+        edges = complex_.levels[1]
+        low = edges & ((1 << d) - 1)
+        for a, b in zip(low.tolist(), (low | (edges >> d)).tolist()):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
@@ -258,10 +236,8 @@ def skeleton_components(complex_: CubicalComplex) -> tuple[int, dict[int, int]]:
 def emit_complex(complex_: CubicalComplex) -> str:
     """Dump format used by golden tests: header plus one face per line."""
     d = complex_.dimension
+    low = (1 << d) - 1
     lines = [f"cube {d}"]
-    for level in complex_.faces:
-        for face in level:
-            lines.append(
-                f"f {index_to_bits(face.free_mask, d)} {index_to_bits(face.base, d)}"
-            )
+    for k in complex_.face_keys().tolist():
+        lines.append(f"f {index_to_bits(k >> d, d)} {index_to_bits(k & low, d)}")
     return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bits import gf2_rank
-from .cubical import CubicalComplex, IntegerMatrix
+from .cubical import CubicalComplex, _cubical_columns
 from .errors import PreconditionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,20 +42,6 @@ COEFF_Z = "Z"
 COEFF_Q = "Q"
 COEFF_Z2 = "Z2"
 COEFFICIENTS = (COEFF_Z, COEFF_Q, COEFF_Z2)
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Diagonal of a Smith normal form, zeros included, divisibility chain."""
-
-    diagonal: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for v in self.diagonal if v)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(v for v in self.diagonal if v > 1)
 
 
 @dataclass(frozen=True)
@@ -286,17 +272,6 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
     return factors
 
 
-def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
-    """Exact Smith normal form of an integer matrix."""
-    columns = [
-        [(i, matrix.data[i][j]) for i in range(matrix.rows) if matrix.data[i][j]]
-        for j in range(matrix.cols)
-    ]
-    factors = _sparse_invariant_factors(columns, matrix.rows)
-    size = min(matrix.rows, matrix.cols)
-    return SmithForm(tuple(factors + [0] * (size - len(factors))))
-
-
 # Free-pair collapse on packed cubical face keys.
 
 # Complexes with more faces than this are collapsed in vectorized frontier
@@ -322,7 +297,7 @@ def _coface_counts(arr: np.ndarray, d: int) -> np.ndarray:
     return counts
 
 
-def _free_pair_collapse(keys: list[int], d: int) -> list[int]:
+def _free_pair_collapse(keys: np.ndarray, d: int) -> np.ndarray:
     """Remove (free face, its unique coface) pairs until no face is free.
 
     A face is free when exactly one face of the next dimension contains it.
@@ -339,18 +314,19 @@ def _free_pair_collapse(keys: list[int], d: int) -> list[int]:
     and removing them is a chain of elementary collapses.  The next
     frontier is the facets of the removed faces that are left with one
     coface.  Smaller complexes go through a sequential cascade of the same
-    collapses on Python sets.  Both paths are deterministic.
+    collapses on Python sets.  Both paths are deterministic and return the
+    surviving keys sorted.
     """
-    if not keys:
-        return []
-    arr = np.array(sorted(keys), dtype=np.int64)
+    if not len(keys):
+        return keys
+    arr = np.sort(keys)
     counts = _coface_counts(arr, d)
     if len(arr) > _PEEL_MIN_FACES:
         return _frontier_peel(arr, counts, d)
     return _cascade(arr, counts, d)
 
 
-def _frontier_peel(arr: np.ndarray, counts: np.ndarray, d: int) -> list[int]:
+def _frontier_peel(arr: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
     full = (1 << d) - 1
     n = len(arr)
     alive = np.ones(n, dtype=bool)
@@ -385,10 +361,10 @@ def _frontier_peel(arr: np.ndarray, counts: np.ndarray, d: int) -> list[int]:
         touched = np.searchsorted(arr, np.concatenate(facets))
         np.subtract.at(counts, touched, 1)
         frontier = np.unique(touched[alive[touched] & (counts[touched] == 1)])
-    return arr[alive].tolist()
+    return arr[alive]
 
 
-def _cascade(arr: np.ndarray, counts: np.ndarray, d: int) -> list[int]:
+def _cascade(arr: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
     full = (1 << d) - 1
     alive = set(arr.tolist())
     cof = dict(zip(arr.tolist(), counts.tolist()))
@@ -424,41 +400,18 @@ def _cascade(arr: np.ndarray, counts: np.ndarray, d: int) -> list[int]:
                         if cof[h] == 1:
                             stack.append(h)
                 free ^= low
-    return sorted(alive)
+    return np.array(sorted(alive), dtype=np.int64)
 
 
-def _graded_keys(keys: list[int], d: int) -> list[list[int]]:
+def _graded_keys(keys: np.ndarray, d: int) -> list[list[int]]:
+    """Split face keys, sorted within each grade, into one list per grade."""
     levels: list[list[int]] = []
-    for k in keys:
+    for k in keys.tolist():
         p = (k >> d).bit_count()
         while len(levels) <= p:
             levels.append([])
         levels[p].append(k)
-    for level in levels:
-        level.sort()
     return levels
-
-
-def _cubical_columns(lower: list[int], upper: list[int], d: int):
-    """Sparse boundary columns between two consecutive cubical grades."""
-    row_of = {k: i for i, k in enumerate(lower)}
-    full = (1 << d) - 1
-    columns = []
-    for k in upper:
-        m = k >> d
-        b = k & full
-        col = []
-        sign = 1
-        free = m
-        while free:
-            low = free & -free
-            sub = (m ^ low) << d
-            col.append((row_of[sub | b | low], sign))
-            col.append((row_of[sub | (b & ~low)], -sign))
-            sign = -sign
-            free ^= low
-        columns.append(col)
-    return columns
 
 
 def _profile_from_columns(fvec, column_maker, coeffs, length) -> HomologyProfile:

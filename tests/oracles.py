@@ -1,15 +1,20 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's vectorized evaluation and bit
-tricks: formulas are evaluated per assignment with plain Python, and
-projection works on coordinate strings.
+tricks: formulas are evaluated per assignment with plain Python,
+projection works on coordinate strings, faces are found among all 3^d
+faces of the ambient cube, and boundary matrices are dense and built from
+``Face`` pairs.  The dense Smith normal form is the sparse elimination of
+``csptopo.homology`` behind a dense-matrix interface, the route that the
+sympy cross-checks test.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from csptopo import AffineSystem, Clause, Formula, PropertyFlags, Relation, Var
+from csptopo import AffineSystem, Clause, Face, Formula, PropertyFlags, Relation, Var
+from csptopo.homology import _sparse_invariant_factors
 
 
 def naive_solutions(formula: Formula) -> set[int]:
@@ -86,3 +91,44 @@ def naive_relation_flags(rel: Relation) -> PropertyFlags:
         ),
         affine=all(a ^ b ^ c in members for a, b, c in combinations(tuples, 3)),
     )
+
+
+def naive_faces(members, d: int) -> set[Face]:
+    """Every face of the ambient d-cube whose vertices all lie in ``members``."""
+    out = set()
+    for mask in range(1 << d):
+        free = [1 << i for i in range(d) if (mask >> i) & 1]
+        corners = [sum(bits) for bits in product(*[(0, bit) for bit in free])]
+        for base in range(1 << d):
+            if not base & mask and all(base | c in members for c in corners):
+                out.add(Face(mask, base))
+    return out
+
+
+def boundary_matrix(complex_, p: int) -> list[list[int]]:
+    """Dense d_p as a list of rows: p-faces are the columns and
+    (p-1)-faces the rows, both in the order of ``complex_.faces``.
+
+    A p-face with free coordinates j_1 < ... < j_p has entry (-1)^(t-1) at
+    its facet with j_t fixed to 1 and -(-1)^(t-1) at its facet with j_t
+    fixed to 0.
+    """
+    lower, upper = complex_.faces[p - 1 : p + 1]
+    row_of = {f: i for i, f in enumerate(lower)}
+    out = [[0] * len(upper) for _ in lower]
+    for j, face in enumerate(upper):
+        free = [i for i in range(complex_.dimension) if (face.free_mask >> i) & 1]
+        for t, i in enumerate(free, start=1):
+            sign = (-1) ** (t - 1)
+            sub = face.free_mask ^ (1 << i)
+            out[row_of[Face(sub, face.base | (1 << i))]][j] += sign
+            out[row_of[Face(sub, face.base)]][j] -= sign
+    return out
+
+
+def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
+    """Smith normal form diagonal of a dense integer matrix, zeros included."""
+    cols = len(rows[0]) if rows else 0
+    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(cols)]
+    factors = _sparse_invariant_factors(columns, len(rows))
+    return tuple(factors + [0] * (min(len(rows), cols) - len(factors)))

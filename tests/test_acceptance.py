@@ -244,7 +244,7 @@ def _boundary_sparse(complex_, p):
             values.append(sign)
     return sparse.coo_matrix(
         (values, (rows_idx, cols_idx)),
-        shape=(len(complex_.faces[p - 1]), len(columns)),
+        shape=(complex_.f_vector()[p - 1], len(columns)),
         dtype=np.int64,
     ).tocsc()
 

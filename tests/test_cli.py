@@ -1,13 +1,26 @@
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 
+from csptopo import (
+    GeneratorParams,
+    VertexSet,
+    emit_dimacs,
+    emit_vset,
+    homology,
+    induce_complex,
+    random_formula,
+    simplicial_to_vertexset,
+)
 from csptopo.bits import index_to_bits
 from csptopo.cli import main
 from csptopo.relations import PAIR_MAX
 
 from conftest import FIG1_DIMACS
+from oracles import naive_faces, naive_solutions
 
 
 @pytest.fixture
@@ -34,6 +47,42 @@ def test_betti_fig1_exact_bytes(capsys, fig1_path):
     code, out, _ = run(capsys, "betti", fig1_path, "--coeffs", "Z")
     assert code == 0
     assert out == '{"betti":[1,1],"torsion":[[],[]],"f":[6,6]}\n'
+
+
+def _betti_inputs(projective_plane):
+    """Seeded vertex sets and Horn / 2-SAT CNFs at d=4..9, as (file name,
+    text, vertex set); the realized projective plane adds torsion."""
+    plane = simplicial_to_vertexset(projective_plane)
+    inputs = [("plane.vset", emit_vset(plane), plane)]
+    rng = random.Random(41)
+    for d in range(4, 10):
+        density = rng.uniform(0.45, 0.8)
+        vset = VertexSet(d, frozenset(v for v in range(1 << d) if rng.random() < density))
+        inputs.append((f"set{d}.vset", emit_vset(vset), vset))
+    for trial, flavor in enumerate(("horn", "two_sat") * 3):
+        formula = random_formula(GeneratorParams(flavor, (4, 9), (3, 8), seed=43), trial)
+        vset = VertexSet(formula.dimension, frozenset(naive_solutions(formula)))
+        inputs.append((f"{flavor}{trial}.cnf", emit_dimacs(formula), vset))
+    return inputs
+
+
+def test_betti_json_matches_unreduced_homology_and_naive_faces(
+    capsys, tmp_path, projective_plane
+):
+    for name, text, vset in _betti_inputs(projective_plane):
+        path = tmp_path / name
+        path.write_text(text)
+        dims = Counter(face.dim for face in naive_faces(vset.members, vset.dimension))
+        fvec = [dims[p] for p in range(len(dims))]
+        for coeffs in ("Z", "Q", "Z2"):
+            profile = homology(induce_complex(vset), coeffs, reduce=False)
+            payload = {
+                "betti": list(profile.betti),
+                "torsion": [list(t) for t in profile.torsion],
+                "f": fvec,
+            }
+            expected = json.dumps(payload, separators=(",", ":")) + "\n"
+            assert run(capsys, "betti", str(path), "--coeffs", coeffs) == (0, expected, "")
 
 
 def test_betti_deterministic(capsys, fig1_path):

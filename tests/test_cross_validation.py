@@ -18,17 +18,16 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from csptopo import (
     CubicalComplex,
     Face,
-    IntegerMatrix,
     SimplicialComplex,
     VertexSet,
-    boundary_matrix,
     enumerate_solutions,
     homology,
     induce_complex,
     simplicial_homology,
     simplicial_to_vertexset,
-    smith_normal_form,
 )
+
+from oracles import boundary_matrix, smith_normal_form
 
 
 def _sympy_diagonal(rows):
@@ -40,9 +39,9 @@ def _sympy_diagonal(rows):
 
 
 def _assert_snf_matches_sympy(data):
-    ours = smith_normal_form(IntegerMatrix.from_rows(data))
-    assert tuple(ours.diagonal) == _sympy_diagonal(data), data
-    assert ours.rank == Matrix(data).rank()
+    ours = smith_normal_form(data)
+    assert ours == _sympy_diagonal(data), data
+    assert sum(1 for v in ours if v) == Matrix(data).rank()
 
 
 def test_snf_matches_sympy_on_random_matrices():
@@ -82,9 +81,9 @@ def test_unit_created_by_fill_in_is_pivoted_sparsely(monkeypatch):
 
     monkeypatch.setattr(homology_module, "_snf_diagonal", recording_dense)
     data = [[2, 1, 0], [3, 1, 0], [0, 1, 2]]
-    ours = smith_normal_form(IntegerMatrix.from_rows(data))
+    ours = smith_normal_form(data)
     assert remainders == [[[2]]]
-    assert ours.diagonal == (1, 1, 2) == _sympy_diagonal(data)
+    assert ours == (1, 1, 2) == _sympy_diagonal(data)
 
 
 def test_boundary_snf_matches_sympy(fig1, projective_plane):
@@ -95,12 +94,7 @@ def test_boundary_snf_matches_sympy(fig1, projective_plane):
     for complex_ in complexes:
         for p in range(1, complex_.top_dimension + 1):
             matrix = boundary_matrix(complex_, p)
-            ours = smith_normal_form(matrix)
-            assert tuple(ours.diagonal) == _sympy_diagonal(matrix.data)
-
-
-def _subface(f, g) -> bool:
-    return (f.free_mask & ~g.free_mask) == 0 and (f.base & ~g.free_mask) == g.base
+            assert smith_normal_form(matrix) == _sympy_diagonal(matrix)
 
 
 def _order_complex(complex_: CubicalComplex) -> SimplicialComplex:

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from csptopo import (
     HomologyProfile,
-    IntegerMatrix,
     VertexSet,
-    boundary_matrix,
     enumerate_solutions,
     full_cube,
     gf2_rank,
@@ -17,34 +15,29 @@ from csptopo import (
     induce_complex,
     simplicial_homology,
     simplicial_to_vertexset,
-    smith_normal_form,
 )
 from csptopo.homology import _PEEL_MIN_FACES, _free_pair_collapse, _snf_diagonal
 from csptopo.verify import GeneratorParams, random_formula
 
+from oracles import boundary_matrix, smith_normal_form
+
 
 def test_snf_identity():
-    assert smith_normal_form(IntegerMatrix.from_rows(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    )).diagonal == (1, 1, 1)
+    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
 
 
 def test_snf_already_diagonal():
-    form = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 2]]))
-    assert form.diagonal == (2, 2)
-    assert form.rank == 2
+    assert smith_normal_form([[2, 0], [0, 2]]) == (2, 2)
 
 
 def test_snf_hand_elimination_example():
     # det = -2, gcd of entries 1, so the chain is (1, 2)
-    form = smith_normal_form(IntegerMatrix.from_rows([[1, 1], [1, -1]]))
-    assert form.diagonal == (1, 2)
+    assert smith_normal_form([[1, 1], [1, -1]]) == (1, 2)
 
 
 def test_snf_zero_and_rectangular():
-    assert smith_normal_form(IntegerMatrix(2, 3)).diagonal == (0, 0)
-    form = smith_normal_form(IntegerMatrix.from_rows([[0, 4, 0], [6, 0, 0]]))
-    assert form.diagonal == (2, 12)
+    assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == (0, 0)
+    assert smith_normal_form([[0, 4, 0], [6, 0, 0]]) == (2, 12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -59,16 +52,15 @@ def test_snf_hybrid_matches_dense_and_chains(data):
             max_size=rows,
         )
     )
-    matrix = IntegerMatrix.from_rows(entries)
-    form = smith_normal_form(matrix)
+    form = smith_normal_form(entries)
     dense_diag = tuple(_snf_diagonal([r[:] for r in entries], rows, cols))
-    assert form.diagonal == dense_diag
-    for a, b in zip(form.diagonal, form.diagonal[1:]):
+    assert form == dense_diag
+    for a, b in zip(form, form[1:]):
         if a:
             assert b % a == 0
         else:
             assert b == 0
-    assert form.rank <= min(rows, cols)
+    assert len(form) == min(rows, cols)
 
 
 def test_gf2_rank_bitsets():
@@ -188,7 +180,7 @@ def test_frontier_peel_above_gate_agrees_with_unreduced(make):
     d = complex_.dimension
     keys = complex_.face_keys()
     assert len(keys) > _PEEL_MIN_FACES
-    collapsed = _free_pair_collapse(keys, d)
+    collapsed = _free_pair_collapse(keys, d).tolist()
     survivors = set(collapsed)
     full = (1 << d) - 1
     for k in collapsed:
@@ -199,7 +191,7 @@ def test_frontier_peel_above_gate_agrees_with_unreduced(make):
             sub = (m ^ low) << d
             assert sub | (b & ~low) in survivors and sub | b | low in survivors
             free ^= low
-    assert _euler(collapsed, d) == _euler(keys, d)
+    assert _euler(collapsed, d) == _euler(keys.tolist(), d)
     for coeffs in ("Z", "Z2"):
         assert homology(complex_, coeffs) == homology(complex_, coeffs, reduce=False)
 
@@ -240,7 +232,7 @@ def test_mod2_fast_path_agrees_with_snf_reduced_mod_2():
         ranks = [0] * (top + 2)
         for p in range(1, top + 1):
             form = smith_normal_form(boundary_matrix(complex_, p))
-            ranks[p] = sum(1 for v in form.diagonal if v % 2 == 1)
+            ranks[p] = sum(1 for v in form if v % 2 == 1)
         fvec = complex_.f_vector()
         expected = tuple(fvec[p] - ranks[p] - ranks[p + 1] for p in range(top + 1))
         assert mod2.betti == expected
