@@ -22,7 +22,6 @@ below.  This touches only faces that are actually present instead of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -137,6 +136,15 @@ def induce_complex(vset: VertexSet, face_max: int = FACE_MAX) -> CubicalComplex:
     return CubicalComplex(d, tuple(levels), vset)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values in increasing order.  Unlike ``np.unique`` and
+    ``np.union1d`` this does not import ``numpy.ma``."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def union_complex(complexes) -> CubicalComplex:
     """Union of cubical complexes over the same ambient cube.
 
@@ -151,7 +159,9 @@ def union_complex(complexes) -> CubicalComplex:
         raise PreconditionError("dimension mismatch in union")
     top = max(k.top_dimension for k in complexes)
     levels = tuple(
-        reduce(np.union1d, [k.levels[p] for k in complexes if p <= k.top_dimension])
+        _sorted_unique(
+            np.concatenate([k.levels[p] for k in complexes if p <= k.top_dimension])
+        )
         for p in range(top + 1)
     )
     return CubicalComplex(d, levels, None)

@@ -85,9 +85,6 @@ class Clause:
         """DIMACS-style signed 1-based literals, sorted by variable."""
         return tuple((v + 1) if positive else -(v + 1) for v, positive in self.literals())
 
-    def satisfied_by(self, vertex: int) -> bool:
-        return bool(vertex & self.pos_mask) or (vertex & self.neg_mask) != self.neg_mask
-
     def drop_variable(self, variable: int) -> "Clause":
         """Remove any literal on ``variable`` and reindex higher variables."""
         return Clause(drop_bit(self.pos_mask & ~(1 << variable), variable),

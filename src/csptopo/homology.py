@@ -13,9 +13,8 @@ Before any matrix work, cubical complexes are shrunk by free-pair
 collapses until no face is free: a face contained in exactly one face of
 the next dimension is removed together with that coface.  Each such step
 is an elementary collapse, so the reduced complex is homotopy equivalent
-to the input and has identical homology in every degree.  Complexes above
-8,192 faces are collapsed in vectorized frontier rounds of disjoint pairs,
-smaller ones by a sequential cascade on Python sets.  On the solution
+to the input and has identical homology in every degree.  The collapse
+runs in vectorized frontier rounds of disjoint pairs.  On the solution
 spaces of 2-SAT, Horn and dual-Horn formulas, whose components are
 contractible, the collapse typically leaves one vertex per component.
 The simplicial route deliberately skips this reduction so that it stays
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bits import gf2_rank
-from .cubical import CubicalComplex, _cubical_columns
+from .cubical import CubicalComplex, _cubical_columns, _sorted_unique
 from .errors import PreconditionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -274,27 +273,24 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
 
 # Free-pair collapse on packed cubical face keys.
 
-# Complexes with more faces than this are collapsed in vectorized frontier
-# rounds, smaller ones by the sequential cascade, which on small complexes
-# avoids the fixed numpy cost of each round.
-_PEEL_MIN_FACES = 8192
+def _live_cofaces(arr, alive, keys, bits, up):
+    """Where the cofaces of ``keys`` sit in the sorted key array ``arr``.
+
+    Returns two (d, len(keys)) arrays: ``pos[j, i]`` is the position in
+    ``arr`` of key i with coordinate j freed, ``(k | bit_j << d) & ~bit_j``,
+    and ``live[j, i]`` says whether that face is there and alive.  A free
+    coordinate j leaves the key unchanged and is never live.
+    """
+    cand = (keys | up) & ~bits
+    pos = arr.searchsorted(cand)
+    np.minimum(pos, len(arr) - 1, out=pos)
+    return pos, (arr[pos] == cand) & alive[pos] & (cand != keys)
 
 
-def _coface_counts(arr: np.ndarray, d: int) -> np.ndarray:
-    """Number of cofaces of each face of the sorted key array ``arr``."""
-    n = len(arr)
-    mask = arr >> d
-    base = arr & ((1 << d) - 1)
-    counts = np.zeros(n, dtype=np.int64)
-    for j in range(d):
-        bit = 1 << j
-        sel = (mask & bit) == 0
-        if not sel.any():
-            continue
-        cand = ((mask[sel] | bit) << d) | (base[sel] & ~bit)
-        pos = np.minimum(np.searchsorted(arr, cand), n - 1)
-        counts[sel] += arr[pos] == cand
-    return counts
+def _facets(keys, bits, up):
+    """Both facets across each free coordinate of each key, with repeats."""
+    free = (keys & up) != 0
+    return np.concatenate([(keys ^ up)[free], (keys ^ up ^ bits)[free]])
 
 
 def _free_pair_collapse(keys: np.ndarray, d: int) -> np.ndarray:
@@ -304,103 +300,53 @@ def _free_pair_collapse(keys: np.ndarray, d: int) -> np.ndarray:
     Removing it with that coface is an elementary collapse, so the result
     is a downward-closed subcomplex homotopy equivalent to the input.
 
-    Above ``_PEEL_MIN_FACES`` faces the collapse runs in frontier rounds on
-    the sorted key array: every free face of the frontier finds its live
-    coface, a coface claimed by several free faces keeps only its first
-    pair, and all pairs are removed at once.  In a downward-closed complex
-    a free face is never the coface of another free face (the two faces
-    between it and the coface's coface would both contain it), so after
-    the shared cofaces are resolved the pairs of one round are disjoint
-    and removing them is a chain of elementary collapses.  The next
-    frontier is the facets of the removed faces that are left with one
-    coface.  Smaller complexes go through a sequential cascade of the same
-    collapses on Python sets.  Both paths are deterministic and return the
-    surviving keys sorted.
+    The collapse runs in frontier rounds on the sorted key array, with an
+    ``alive`` mask and the number of live cofaces of every face.  Each
+    round, every face of the frontier (the alive faces with one live
+    coface) finds that coface, a coface claimed by several free faces keeps
+    only its first pair, and all pairs are removed at once.  In a
+    downward-closed complex a free face is never the coface of another free
+    face (the two faces between it and the coface's coface would both
+    contain it), so after the shared cofaces are resolved the pairs of one
+    round are disjoint and removing them is a chain of elementary
+    collapses.  The facets of the removed faces lose one coface each, and
+    those left alive with one coface form the next frontier.
+
+    Coface and facet lookups treat all d coordinates at once as rows of a
+    (d, m) array.  Faces go through them in slices of ``max(n // d, 1024)``
+    so that no temporary holds much more than n keys.  The collapse is
+    deterministic and returns the surviving keys sorted.
     """
     if not len(keys):
         return keys
     arr = np.sort(keys)
-    counts = _coface_counts(arr, d)
-    if len(arr) > _PEEL_MIN_FACES:
-        return _frontier_peel(arr, counts, d)
-    return _cascade(arr, counts, d)
-
-
-def _frontier_peel(arr: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
-    full = (1 << d) - 1
     n = len(arr)
+    bits = np.int64(1) << np.arange(d, dtype=np.int64)[:, None]
+    up = bits << d
+    step = max(n // d, 1024)
     alive = np.ones(n, dtype=bool)
+    counts = np.empty(n, dtype=np.int64)
+    for s in range(0, n, step):
+        _, live = _live_cofaces(arr, alive, arr[s : s + step], bits, up)
+        counts[s : s + step] = live.sum(axis=0)
     frontier = np.flatnonzero(counts == 1)
     while len(frontier):
-        fkeys = arr[frontier]
-        fmask = fkeys >> d
-        fbase = fkeys & full
         coface = np.empty(len(frontier), dtype=np.int64)
-        for j in range(d):
-            bit = 1 << j
-            sel = np.flatnonzero((fmask & bit) == 0)
-            cand = ((fmask[sel] | bit) << d) | (fbase[sel] & ~bit)
-            pos = np.minimum(np.searchsorted(arr, cand), n - 1)
-            hit = (arr[pos] == cand) & alive[pos]
-            coface[sel[hit]] = pos[hit]
+        for s in range(0, len(frontier), step):
+            pos, live = _live_cofaces(arr, alive, arr[frontier[s : s + step]], bits, up)
+            coface[s : s + step] = (pos * live).sum(axis=0)  # one live coface each
         cofaces, first = np.unique(coface, return_index=True)
         removed = np.concatenate([frontier[first], cofaces])
         alive[removed] = False
-
-        rkeys = arr[removed]
-        rmask = rkeys >> d
-        rbase = rkeys & full
-        facets = []
-        for j in range(d):
-            bit = 1 << j
-            sel = (rmask & bit) != 0
-            sub = (rmask[sel] ^ bit) << d
-            base = rbase[sel]
-            facets.append(sub | (base & ~bit))
-            facets.append(sub | base | bit)
-        touched = np.searchsorted(arr, np.concatenate(facets))
-        np.subtract.at(counts, touched, 1)
-        frontier = np.unique(touched[alive[touched] & (counts[touched] == 1)])
+        # a face has its final count after the last slice that touches it
+        touched = []
+        for s in range(0, len(removed), step):
+            hit = arr.searchsorted(_facets(arr[removed[s : s + step]], bits, up))
+            np.subtract.at(counts, hit, 1)
+            touched.append(hit[alive[hit] & (counts[hit] == 1)])
+        touched = np.concatenate(touched)
+        frontier = _sorted_unique(touched[counts[touched] == 1])
     return arr[alive]
-
-
-def _cascade(arr: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
-    full = (1 << d) - 1
-    alive = set(arr.tolist())
-    cof = dict(zip(arr.tolist(), counts.tolist()))
-    stack = [k for k, c in cof.items() if c == 1]
-    while stack:
-        f = stack.pop()
-        if f not in alive or cof[f] != 1:
-            continue
-        fmask = f >> d
-        fbase = f & full
-        g = -1
-        fixed = full & ~fmask
-        while fixed:
-            low = fixed & -fixed
-            cand = ((fmask | low) << d) | (fbase & ~low)
-            if cand in alive:
-                g = cand
-                break
-            fixed ^= low
-        assert g >= 0, "coface count out of sync"
-        alive.discard(f)
-        alive.discard(g)
-        for face_key in (g, f):
-            m = face_key >> d
-            b = face_key & full
-            free = m
-            while free:
-                low = free & -free
-                sub = (m ^ low) << d
-                for h in (sub | (b & ~low), sub | b | low):
-                    if h in alive:
-                        cof[h] -= 1
-                        if cof[h] == 1:
-                            stack.append(h)
-                free ^= low
-    return np.array(sorted(alive), dtype=np.int64)
 
 
 def _graded_keys(keys: np.ndarray, d: int) -> list[list[int]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_index, gf2_rank, index_to_bits
+from .bits import bits_to_index, gf2_rank
 from .errors import ParseError, PreconditionError, ResourceLimitError
 
 ARITY_MAX = 20
@@ -68,9 +68,6 @@ class Relation:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def tuple_strings(self) -> list[str]:
-        return sorted(index_to_bits(t, self.arity) for t in self.tuples)
 
     def complement(self) -> "Relation":
         """Flip every bit of every tuple."""

@@ -132,7 +132,7 @@ def project(vset: VertexSet, dims) -> VertexSet:
     out = np.zeros(len(arr), dtype=np.int64)
     for new_pos, old_pos in enumerate(kept):
         out |= ((arr >> old_pos) & 1) << new_pos
-    return VertexSet(d - len(dims), frozenset(np.unique(out).tolist()))
+    return VertexSet(d - len(dims), frozenset(out.tolist()))
 
 
 def _constraint_variables(constraint) -> int:

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,20 @@ def test_usage_error_returns_nonzero(capsys):
     assert main(["--help"]) == 0
     captured = capsys.readouterr()
     assert "csptopo" in captured.out
+
+
+def test_library_paths_do_not_import_numpy_ma(fig1_path):
+    """``numpy.ma`` costs about 1.6 MB of resident memory; plain
+    ``np.unique`` and ``np.union1d`` import it on first use."""
+    script = f"""
+import sys
+from csptopo.cli import main
+main(["betti", {fig1_path!r}])
+main(["verify", "wedge-union", "--trials", "10"])
+main(["verify", "projection", "--trials", "10"])
+assert "numpy.ma" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

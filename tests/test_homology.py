@@ -1,13 +1,17 @@
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csptopo import (
+    AffineSystem,
+    Formula,
     HomologyProfile,
     VertexSet,
+    affine_solutions,
     enumerate_solutions,
     full_cube,
     gf2_rank,
@@ -15,8 +19,9 @@ from csptopo import (
     induce_complex,
     simplicial_homology,
     simplicial_to_vertexset,
+    union_complex,
 )
-from csptopo.homology import _PEEL_MIN_FACES, _free_pair_collapse, _snf_diagonal
+from csptopo.homology import _free_pair_collapse, _snf_diagonal
 from csptopo.verify import GeneratorParams, random_formula
 
 from oracles import boundary_matrix, smith_normal_form
@@ -152,17 +157,23 @@ def _random_set(d, size, seed):
     )
 
 
-def _formula_complex(flavor, trial):
-    params = GeneratorParams(flavor, (11, 12), (3, 8), seed=5)
+def _formula_complex(flavor, trial, dims=(11, 12)):
+    params = GeneratorParams(flavor, dims, (3, 8), seed=5)
     return induce_complex(enumerate_solutions(random_formula(params, trial)))
+
+
+def _wedge_union(d, trial):
+    params = GeneratorParams("two_sat", (d, d), (2, 2), seed=5)
+    formula = random_formula(params, trial)
+    return union_complex(
+        induce_complex(enumerate_solutions(Formula(d, (c,)))) for c in formula.clauses()
+    )
 
 
 def _euler(keys, d):
     return sum(-1 if (k >> d).bit_count() % 2 else 1 for k in keys)
 
 
-# Dense random d=10 sets need about 78 % of the vertices to pass the gate;
-# below that they stay under it and take the sequential cascade.
 @pytest.mark.parametrize(
     "make",
     [
@@ -172,25 +183,33 @@ def _euler(keys, d):
         lambda: _formula_complex("horn", 2),
         lambda: _formula_complex("dual_horn", 2),
         lambda: _formula_complex("two_sat", 2),
+        lambda: _random_set(9, 369, 3),
+        lambda: _formula_complex("horn", 1, (7, 7)),
+        lambda: _formula_complex("two_sat", 7, (7, 7)),
+        lambda: _wedge_union(5, 1),
+        lambda: induce_complex(affine_solutions(AffineSystem(4, ((0b1111, 0),)))),
+        lambda: induce_complex(VertexSet(3, frozenset({5}))),
     ],
-    ids=["random-0", "random-1", "random-2", "horn", "dual_horn", "two_sat"],
+    ids=["random-0", "random-1", "random-2", "horn", "dual_horn", "two_sat",
+         "random-d9", "horn-d7", "two_sat-d7", "wedge-union-d5", "edge-free", "vertex"],
 )
-def test_frontier_peel_above_gate_agrees_with_unreduced(make):
+def test_free_pair_collapse_agrees_with_unreduced(make):
     complex_ = make()
     d = complex_.dimension
     keys = complex_.face_keys()
-    assert len(keys) > _PEEL_MIN_FACES
     collapsed = _free_pair_collapse(keys, d).tolist()
     survivors = set(collapsed)
     full = (1 << d) - 1
     for k in collapsed:
         m, b = k >> d, k & full
-        free = m
-        while free:
-            low = free & -free
-            sub = (m ^ low) << d
-            assert sub | (b & ~low) in survivors and sub | b | low in survivors
-            free ^= low
+        cofaces = 0
+        for bit in (1 << j for j in range(d)):
+            if m & bit:
+                sub = (m ^ bit) << d
+                assert sub | b in survivors and sub | b | bit in survivors
+            else:
+                cofaces += (((m | bit) << d) | (b & ~bit)) in survivors
+        assert cofaces != 1  # no face is left free
     assert _euler(collapsed, d) == _euler(keys.tolist(), d)
     for coeffs in ("Z", "Z2"):
         assert homology(complex_, coeffs) == homology(complex_, coeffs, reduce=False)
@@ -211,11 +230,19 @@ def test_horn_formula_that_stalled_collapses_to_a_point():
 
 def test_full_cube_12_collapses_to_a_point_in_bounded_time():
     complex_ = induce_complex(full_cube(12))
+    keys = complex_.face_keys()
     start = time.perf_counter()
-    collapsed = _free_pair_collapse(complex_.face_keys(), 12)
+    collapsed = _free_pair_collapse(keys, 12)
     elapsed = time.perf_counter() - start
     assert len(collapsed) == 1
     assert elapsed < 5.0, elapsed
+    tracemalloc.start()
+    try:
+        _free_pair_collapse(keys, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * keys.nbytes, peak / keys.nbytes
 
 
 def test_mod2_fast_path_agrees_with_snf_reduced_mod_2():
