@@ -3,11 +3,11 @@
 Betti numbers in degree p are f_p - rank(d_p) - rank(d_{p+1}) over the
 chosen coefficients; integer torsion consists of the invariant factors
 greater than one of d_{p+1}.  Ranks and invariant factors come from an
-exact Smith normal form in arbitrary precision: a sparse elimination takes
-every +-1 pivot it can reach, in the order of a lazy heap of short columns,
-and only the remainder without unit entries goes through a dense
-smallest-magnitude-pivot routine.  The mod-2 path uses direct bitset
-elimination over GF(2).
+exact Smith normal form in arbitrary precision: one sparse elimination
+takes every +-1 pivot it can reach, in the order of a lazy heap of short
+columns, and then pivots the remainder without unit entries on entries of
+least magnitude, on the same sparse rows and columns.  The mod-2 path uses
+direct bitset elimination over GF(2).
 
 Before any matrix work, cubical complexes are shrunk by free-pair
 collapses until no face is free: a face contained in exactly one face of
@@ -84,99 +84,81 @@ class HomologyProfile:
 
 # Smith normal form.
 
-def _snf_diagonal(data: list[list[int]], rows: int, cols: int) -> list[int]:
-    """Invariant factors of an integer matrix (destructive on ``data``)."""
-    a = data
-    size = min(rows, cols)
+def _subtract_multiples(rows, cols, prow: dict[int, int], targets, p: int) -> None:
+    """Row operations: each row i2 with an entry v in ``targets`` loses
+    (v // p) times ``prow``.  ``cols`` is kept the transpose of ``rows``;
+    with the two swapped these are column operations.  The pivot p is of
+    least magnitude, so no quotient is zero."""
+    for i2, v in targets.items():
+        q = v // p
+        row2 = rows[i2]
+        for j2, a in prow.items():
+            value = row2.get(j2, 0) - q * a
+            if value:
+                row2[j2] = value
+                cols[j2][i2] = value
+            else:
+                del row2[j2]
+                del cols[j2][i2]
+
+
+def _eliminate(rows, cols, pi: int, pj: int) -> dict[int, int]:
+    """Pivot on (pi, pj), whose entry p divides its whole row and column.
+
+    Row pi and column pj are dropped, and every other row i2 with an entry
+    b in column pj loses (b // p) times row pi: the integer Schur
+    complement.  Returns row pi without the pivot.
+    """
+    prow = rows.pop(pi)
+    pcol = cols.pop(pj)
+    p = prow.pop(pj)
+    del pcol[pi]
+    for j2 in prow:
+        del cols[j2][pi]
+    for i2 in pcol:
+        del rows[i2][pj]
+    _subtract_multiples(rows, cols, prow, pcol, p)
+    return prow
+
+
+def _reduce(rows, cols, pi: int, pj: int) -> bool:
+    """Reduce column pj by row operations against the pivot at (pi, pj);
+    True when a nonzero remainder is left.  ``_reduce(cols, rows, pj, pi)``
+    reduces row pi by column operations."""
+    prow = rows[pi]
+    p = prow[pj]
+    targets = {i2: v for i2, v in cols[pj].items() if i2 != pi}
+    _subtract_multiples(rows, cols, prow, targets, p)
+    return any(v % p for v in targets.values())
+
+
+def _snf_diagonal(rows, cols) -> list[int]:
+    """Nonzero invariant factors of the sparse matrix ``rows``/``cols``
+    (destructive), as a divisibility chain.
+
+    Each pass pivots on a live entry p of least magnitude.  It reduces p's
+    whole column by row operations and, if every remainder there is zero,
+    p's whole row by column operations.  A nonzero remainder is smaller
+    than |p| and the next pass pivots again; once p divides its row and
+    column it is eliminated as a unit pivot is.  The gcd/lcm pass then
+    turns the diagonal into a divisibility chain: the pivots of a matrix
+    without unit entries need not divide each other.
+    """
     diag: list[int] = []
-    t = 0
-    while t < size:
-        # smallest-magnitude nonzero pivot in the trailing submatrix
-        best = None
-        bi = bj = -1
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                v = row[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best is None or av < best:
-                        best, bi, bj = av, i, j
-                        if av == 1:
-                            break
-            if best == 1:
-                break
-        if best is None:
+    while True:
+        best = pi = pj = 0
+        for i, row in rows.items():
+            for j, v in row.items():
+                av = -v if v < 0 else v
+                if not best or av < best:
+                    best, pi, pj = av, i, j
+        if not best:
             break
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
+        if _reduce(rows, cols, pi, pj) or _reduce(cols, rows, pj, pi):
+            continue
+        _eliminate(rows, cols, pi, pj)
+        diag.append(best)
 
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            p = a[t][t]
-            pivot_row = a[t]
-
-            dirty = False
-            for i in range(t + 1, rows):
-                v = a[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        row = a[i]
-                        for j in range(t, cols):
-                            row[j] -= q * pivot_row[j]
-                    if a[i][t]:
-                        dirty = True
-            if not dirty:
-                for j in range(t + 1, cols):
-                    v = pivot_row[j]
-                    if v:
-                        q = v // p
-                        if q:
-                            for i in range(t, rows):
-                                a[i][j] -= q * a[i][t]
-                        if pivot_row[j]:
-                            dirty = True
-            if dirty:
-                # a remainder smaller than the pivot appeared; re-select
-                best = None
-                for i in range(t, rows):
-                    row = a[i]
-                    for j in range(t, cols):
-                        v = row[j]
-                        if v:
-                            av = -v if v < 0 else v
-                            if best is None or av < best:
-                                best, bi, bj = av, i, j
-                if bi != t:
-                    a[t], a[bi] = a[bi], a[t]
-                if bj != t:
-                    for row in a:
-                        row[t], row[bj] = row[bj], row[t]
-                continue
-
-            # row and column are clean; force the divisibility chain
-            bad = -1
-            for i in range(t + 1, rows):
-                row = a[i]
-                for j in range(t + 1, cols):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad >= 0:
-                    break
-            if bad >= 0:
-                a[t] = [x + y for x, y in zip(a[t], a[bad])]
-                continue
-            diag.append(p)
-            t += 1
-            break
-
-    # defensive normalization; the construction already yields a chain
     changed = True
     while changed:
         changed = False
@@ -185,10 +167,10 @@ def _snf_diagonal(data: list[list[int]], rows: int, cols: int) -> list[int]:
                 g = gcd(diag[i], diag[i + 1])
                 diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
                 changed = True
-    return diag + [0] * (size - len(diag))
+    return diag
 
 
-def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
+def _sparse_invariant_factors(columns) -> list[int]:
     """Nonzero invariant factors of a sparse integer matrix.
 
     ``columns[j]`` lists (row, value) entries.  Entries of magnitude one
@@ -202,9 +184,8 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
     After a pivot only the touched columns, the keys of the pivot row, are
     pushed again, so every pop is a pivot or a discard and the pops number
     at most the columns plus the summed pivot-row lengths.  The usually
-    tiny remainder without unit entries goes through the dense routine.
-    Boundary matrices, whose entries all start at +-1, mostly never reach
-    the dense phase.
+    empty remainder without unit entries goes through ``_snf_diagonal`` on
+    the same rows and columns.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}
@@ -222,53 +203,20 @@ def _sparse_invariant_factors(columns, nrows: int) -> list[int]:
         pcol = cols.get(pj)
         if pcol is None or len(pcol) != length:
             continue
-        best = pi = pv = 0
+        best = pi = 0
         for i, v in pcol.items():
             if v == 1 or v == -1:
                 row_length = len(rows[i])
                 if not best or row_length < best:
-                    best, pi, pv = row_length, i, v
+                    best, pi = row_length, i
                     if row_length == 1:
                         break
         if not best:
             continue
-
-        prow = rows.pop(pi)
-        del cols[pj]
-        del prow[pj]
-        del pcol[pi]
-        for j2 in prow:
-            del cols[j2][pi]
-        for i2 in pcol:
-            del rows[i2][pj]
-        for i2, b in pcol.items():
-            coeff = -b * pv
-            row2 = rows[i2]
-            for j2, a in prow.items():
-                value = row2.get(j2, 0) + coeff * a
-                if value:
-                    row2[j2] = value
-                    cols[j2][i2] = value
-                elif j2 in row2:
-                    del row2[j2]
-                    del cols[j2][i2]
-        for j2 in prow:
+        for j2 in _eliminate(rows, cols, pi, pj):
             heappush(heap, (len(cols[j2]), j2))
         unit_rank += 1
-
-    live_rows = sorted(i for i, entries in rows.items() if entries)
-    live_cols = sorted(j for j, entries in cols.items() if entries)
-    factors = [1] * unit_rank
-    if live_rows:
-        row_index = {i: k for k, i in enumerate(live_rows)}
-        col_index = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for i in live_rows:
-            for j, v in rows[i].items():
-                dense[row_index[i]][col_index[j]] = v
-        diag = _snf_diagonal(dense, len(live_rows), len(live_cols))
-        factors.extend(v for v in diag if v)
-    return factors
+    return [1] * unit_rank + _snf_diagonal(rows, cols)
 
 
 # Free-pair collapse on packed cubical face keys.
@@ -376,7 +324,7 @@ def _profile_from_columns(fvec, column_maker, coeffs, length) -> HomologyProfile
                 sum(1 << i for i, _ in col) for col in columns
             )
         else:
-            invariants = _sparse_invariant_factors(columns, fvec[p - 1])
+            invariants = _sparse_invariant_factors(columns)
             ranks[p] = len(invariants)
             factors[p] = tuple(v for v in invariants if v > 1)
 

@@ -46,16 +46,6 @@ class VertexSet:
     def bitstrings(self) -> list[str]:
         return sorted(index_to_bits(v, self.dimension) for v in self.members)
 
-    def union(self, other: "VertexSet") -> "VertexSet":
-        if other.dimension != self.dimension:
-            raise PreconditionError("dimension mismatch in union")
-        return VertexSet(self.dimension, self.members | other.members)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        if other.dimension != self.dimension:
-            raise PreconditionError("dimension mismatch in intersection")
-        return VertexSet(self.dimension, self.members & other.members)
-
 
 def full_cube(dimension: int) -> VertexSet:
     return VertexSet(dimension, frozenset(range(1 << dimension)))

@@ -4,14 +4,17 @@ These deliberately avoid the library's vectorized evaluation and bit
 tricks: formulas are evaluated per assignment with plain Python,
 projection works on coordinate strings, faces are found among all 3^d
 faces of the ambient cube, and boundary matrices are dense and built from
-``Face`` pairs.  The dense Smith normal form is the sparse elimination of
+``Face`` pairs.  ``smith_normal_form`` is the sparse elimination of
 ``csptopo.homology`` behind a dense-matrix interface, the route that the
-sympy cross-checks test.
+sympy cross-checks test.  ``dense_snf_diagonal`` is a separate dense Smith
+normal form, pivoting on an entry of least magnitude in a list of rows,
+that the sparse elimination is compared against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import gcd
 
 from csptopo import AffineSystem, Clause, Face, Formula, PropertyFlags, Relation, Var
 from csptopo.homology import _sparse_invariant_factors
@@ -130,5 +133,109 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
     """Smith normal form diagonal of a dense integer matrix, zeros included."""
     cols = len(rows[0]) if rows else 0
     columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(cols)]
-    factors = _sparse_invariant_factors(columns, len(rows))
+    factors = _sparse_invariant_factors(columns)
     return tuple(factors + [0] * (min(len(rows), cols) - len(factors)))
+
+
+def dense_snf_diagonal(data: list[list[int]], rows: int, cols: int) -> list[int]:
+    """Invariant factors of an integer matrix (destructive on ``data``)."""
+    a = data
+    size = min(rows, cols)
+    diag: list[int] = []
+    t = 0
+    while t < size:
+        # smallest-magnitude nonzero pivot in the trailing submatrix
+        best = None
+        bi = bj = -1
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                v = row[j]
+                if v:
+                    av = -v if v < 0 else v
+                    if best is None or av < best:
+                        best, bi, bj = av, i, j
+                        if av == 1:
+                            break
+            if best == 1:
+                break
+        if best is None:
+            break
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            p = a[t][t]
+            pivot_row = a[t]
+
+            dirty = False
+            for i in range(t + 1, rows):
+                v = a[i][t]
+                if v:
+                    q = v // p
+                    if q:
+                        row = a[i]
+                        for j in range(t, cols):
+                            row[j] -= q * pivot_row[j]
+                    if a[i][t]:
+                        dirty = True
+            if not dirty:
+                for j in range(t + 1, cols):
+                    v = pivot_row[j]
+                    if v:
+                        q = v // p
+                        if q:
+                            for i in range(t, rows):
+                                a[i][j] -= q * a[i][t]
+                        if pivot_row[j]:
+                            dirty = True
+            if dirty:
+                # a remainder smaller than the pivot appeared; re-select
+                best = None
+                for i in range(t, rows):
+                    row = a[i]
+                    for j in range(t, cols):
+                        v = row[j]
+                        if v:
+                            av = -v if v < 0 else v
+                            if best is None or av < best:
+                                best, bi, bj = av, i, j
+                if bi != t:
+                    a[t], a[bi] = a[bi], a[t]
+                if bj != t:
+                    for row in a:
+                        row[t], row[bj] = row[bj], row[t]
+                continue
+
+            # row and column are clean; force the divisibility chain
+            bad = -1
+            for i in range(t + 1, rows):
+                row = a[i]
+                for j in range(t + 1, cols):
+                    if row[j] % p:
+                        bad = i
+                        break
+                if bad >= 0:
+                    break
+            if bad >= 0:
+                a[t] = [x + y for x, y in zip(a[t], a[bad])]
+                continue
+            diag.append(p)
+            t += 1
+            break
+
+    # defensive normalization; the construction already yields a chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            if diag[i + 1] % diag[i]:
+                g = gcd(diag[i], diag[i + 1])
+                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
+                changed = True
+    return diag + [0] * (size - len(diag))

@@ -11,6 +11,7 @@ Two routes that share no code with the cubical pipeline:
 
 import importlib
 import random
+import signal
 
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -27,7 +28,7 @@ from csptopo import (
     simplicial_to_vertexset,
 )
 
-from oracles import boundary_matrix, smith_normal_form
+from oracles import boundary_matrix, dense_snf_diagonal, smith_normal_form
 
 
 def _sympy_diagonal(rows):
@@ -69,21 +70,60 @@ def test_snf_matches_sympy_on_larger_sparse_matrices():
 def test_unit_created_by_fill_in_is_pivoted_sparsely(monkeypatch):
     """Column 0 (entries 2, 3) has no unit entry, so the heap drops it.
     Pivoting on column 1 turns its 3 into 3 - 2 = 1; the column must be
-    pushed again and pivoted, so the dense routine sees only the 2."""
+    pushed again and pivoted, so the remainder phase sees only the 2."""
     # the package attribute ``csptopo.homology`` is the function
     homology_module = importlib.import_module("csptopo.homology")
-    dense = homology_module._snf_diagonal
+    remainder_phase = homology_module._snf_diagonal
     remainders = []
 
-    def recording_dense(data, rows, cols):
-        remainders.append([row[:] for row in data])
-        return dense(data, rows, cols)
+    def recording(rows, cols):
+        remainders.append((
+            sorted((i, j, v) for i, row in rows.items() for j, v in row.items()),
+            sorted((i, j, v) for j, col in cols.items() for i, v in col.items()),
+        ))
+        return remainder_phase(rows, cols)
 
-    monkeypatch.setattr(homology_module, "_snf_diagonal", recording_dense)
+    monkeypatch.setattr(homology_module, "_snf_diagonal", recording)
     data = [[2, 1, 0], [3, 1, 0], [0, 1, 2]]
     ours = smith_normal_form(data)
-    assert remainders == [[[2]]]
+    assert len(remainders) == 1
+    entries, transposed = remainders[0]
+    assert [v for _, _, v in entries] == [2] and transposed == entries
     assert ours == (1, 1, 2) == _sympy_diagonal(data)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("elimination ran past its time bound")
+
+
+def test_remainder_without_units_is_bounded_and_exact():
+    """Matrices without a unit entry go wholly through the remainder phase.
+    It must agree with the dense oracle (and with sympy on the small ones)
+    and reduce a whole row or column per pivot search: one row operation
+    per search takes minutes on the 30 x 24 matrix here.  An interval timer
+    stops a runaway elimination at the bound; the set takes about 20 ms."""
+    rng = random.Random(109)
+    values = (-2, 2, 3, 4, -6, 9, 10)
+    matrices = []
+    for size in (3, 5, 8, 12, 20, 30, 40):
+        cols = size - rng.randint(0, size // 4)
+        density = rng.uniform(0.3, 0.5)
+        matrices.append([
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(size)
+        ])
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        forms = [smith_normal_form(data) for data in matrices]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for data, ours in zip(matrices, forms):
+        rows, cols = len(data), len(data[0])
+        assert ours == tuple(dense_snf_diagonal([r[:] for r in data], rows, cols))
+        if rows <= 8:
+            assert ours == _sympy_diagonal(data), data
 
 
 def test_boundary_snf_matches_sympy(fig1, projective_plane):
