@@ -9,6 +9,7 @@ stderr.  Exit codes: 0 success / all checks pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -269,6 +270,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# parse_args reads the parser and writes only the namespace it returns, so
+# every main call in a process can share one parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csptopo",

@@ -16,7 +16,10 @@ Faces are found by breadth-first growth: a p-face exists exactly when its
 two opposite (p-1)-faces obtained by fixing the highest free coordinate
 both exist, so each grade is built by merging parallel faces of the grade
 below.  This touches only faces that are actually present instead of the
-3^d candidates of the ambient cube.
+3^d candidates of the ambient cube.  One grade is grown without a Python
+loop over coordinates: all (coordinate, face) pairs are tested as one
+(d, m) broadcast, in slices of ``max(n // d, 1024)`` faces, and their
+partners found with one ``searchsorted`` per slice.
 """
 
 from __future__ import annotations
@@ -96,28 +99,36 @@ class CubicalComplex:
 
 
 def _grow_level(keys: np.ndarray, d: int) -> np.ndarray:
-    """Merge parallel faces of one grade into the faces of the next."""
-    if len(keys) < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = keys >> d
-    base = keys & ((1 << d) - 1)
-    pieces = []
-    for j in range(d):
-        bit = 1 << j
-        # j must dominate all free coordinates and be fixed to 0 here
-        sel = (mask >> j == 0) & ((base >> j) & 1 == 0)
-        if not sel.any():
-            continue
-        partner = keys[sel] + bit
-        pos = np.searchsorted(keys, partner)
-        pos[pos >= len(keys)] = len(keys) - 1
-        found = keys[pos] == partner
-        if not found.any():
-            continue
-        merged = (((mask[sel][found] | bit) << d) | base[sel][found]).astype(np.int64)
-        pieces.append(merged)
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
+    """Merge parallel faces of one grade into the faces of the next.
+
+    A face extends along coordinate j when j lies above all of its free
+    coordinates and its base bit j is 0; the merged face exists when the
+    partner ``key | bit_j``, the same face with j fixed to 1, is in the
+    grade.  Every (j, face) pair is tested at once as a (d, m) broadcast,
+    and all partners are found with one ``searchsorted``.  Faces go through
+    in slices of ``max(n // d, 1024)``, as in the free-pair collapse, so no
+    temporary holds much more than n keys.  Keys sort by free mask first,
+    so the highest free coordinate never falls along the grade: each slice
+    drops the rows at or below its first face's highest free coordinate,
+    and the scan ends at the first slice with no row left.  A merged face
+    comes from one pair only, its highest free coordinate, so the sorted
+    pieces are the next grade.
+    """
+    bits = np.int64(1) << np.arange(d, dtype=np.int64)[:, None]
+    step = max(len(keys) // d, 1024)
+    pieces = [np.empty(0, dtype=np.int64)]
+    for s in range(0, len(keys), step):
+        k = keys[s : s + step]
+        lo = int(k[0] >> d).bit_length()
+        if lo == d:
+            break
+        row = bits[lo:]
+        top = row << d  # key < top  <=>  no free coordinate at or above j
+        sel = (k < top) & (k & row == 0)
+        partner = (k | row)[sel]
+        pos = keys.searchsorted(partner)
+        np.minimum(pos, len(keys) - 1, out=pos)
+        pieces.append((k | top)[sel][keys[pos] == partner])
     return np.sort(np.concatenate(pieces))
 
 

@@ -20,7 +20,7 @@ from csptopo import (
     simplicial_to_vertexset,
 )
 from csptopo.bits import index_to_bits
-from csptopo.cli import main
+from csptopo.cli import build_parser, main
 from csptopo.relations import PAIR_MAX
 
 from conftest import FIG1_DIMACS
@@ -93,6 +93,27 @@ def test_betti_deterministic(capsys, fig1_path):
     _, first, _ = run(capsys, "betti", fig1_path)
     _, second, _ = run(capsys, "betti", fig1_path)
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path, projective_plane):
+    """Every main call shares one parser, and no call leaves state in it:
+    each output equals that of the same call on a fresh parser."""
+    path = tmp_path / "plane.vset"
+    path.write_text(emit_vset(simplicial_to_vertexset(projective_plane)))
+    calls = [([], 2), (["--help"], 0), (["betti", str(path), "--coeffs", "Z2"], 0),
+             (["betti", str(path)], 0)]
+    fresh = []
+    for argv, code in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+        assert fresh[-1][0] == code
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert [run(capsys, *argv) for argv, _ in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    # plain betti still defaults to Z after a Z2 call: the plane keeps its torsion
+    assert json.loads(fresh[3][1])["torsion"] == [[], [2], []]
+    assert run(capsys, "betti", str(path), "--coeffs", "Z") == fresh[3]
 
 
 def test_classify_xor2(capsys, xor2_path):

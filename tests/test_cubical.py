@@ -128,6 +128,19 @@ def test_closure_audit_dimension_six():
     assert {f for level in complex_.faces for f in level} == naive_faces(members, 6)
 
 
+@pytest.mark.parametrize("d", [10, 11])
+def test_induce_grows_grades_across_several_slices(d):
+    """Grades above 1,024 faces are grown in more than one slice."""
+    rng = random.Random(d)
+    members = frozenset(v for v in range(1 << d) if rng.random() < 0.8)
+    complex_ = induce_complex(VertexSet(d, members))
+    assert max(complex_.f_vector()) > 1024
+    for level in complex_.levels:
+        assert level.dtype == np.int64 and not level.flags.writeable
+        assert (np.diff(level) > 0).all()
+    assert {f for level in complex_.faces for f in level} == naive_faces(members, d)
+
+
 def test_union_complex_is_union_of_faces():
     left = induce_complex(VertexSet(2, frozenset({0, 1})))
     right = induce_complex(VertexSet(2, frozenset({1, 3})))
