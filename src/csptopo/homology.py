@@ -14,9 +14,12 @@ collapses until no face is free: a face contained in exactly one face of
 the next dimension is removed together with that coface.  Each such step
 is an elementary collapse, so the reduced complex is homotopy equivalent
 to the input and has identical homology in every degree.  The collapse
-runs in vectorized frontier rounds of disjoint pairs.  On the solution
-spaces of 2-SAT, Horn and dual-Horn formulas, whose components are
-contractible, the collapse typically leaves one vertex per component.
+runs in vectorized frontier rounds of disjoint pairs.  It never searches
+for a coface: each face keeps the count of its live cofaces and the sum
+of their positions in one int64, filled and updated from the facet side,
+so a face with one live coface reads that coface's position.  On the
+solution spaces of 2-SAT, Horn and dual-Horn formulas, whose components
+are contractible, the collapse typically leaves one vertex per component.
 The simplicial route deliberately skips this reduction so that it stays
 an independent oracle for the cubical one.
 """
@@ -221,24 +224,15 @@ def _sparse_invariant_factors(columns) -> list[int]:
 
 # Free-pair collapse on packed cubical face keys.
 
-def _live_cofaces(arr, alive, keys, bits, up):
-    """Where the cofaces of ``keys`` sit in the sorted key array ``arr``.
-
-    Returns two (d, len(keys)) arrays: ``pos[j, i]`` is the position in
-    ``arr`` of key i with coordinate j freed, ``(k | bit_j << d) & ~bit_j``,
-    and ``live[j, i]`` says whether that face is there and alive.  A free
-    coordinate j leaves the key unchanged and is never live.
-    """
-    cand = (keys | up) & ~bits
-    pos = arr.searchsorted(cand)
-    np.minimum(pos, len(arr) - 1, out=pos)
-    return pos, (arr[pos] == cand) & alive[pos] & (cand != keys)
-
-
-def _facets(keys, bits, up):
-    """Both facets across each free coordinate of each key, with repeats."""
+def _facets(arr, pos, bits, up):
+    """Both facets across each free coordinate of each face ``arr[pos]``,
+    with repeats, and with each facet the value ``(pos << 6) | 1`` of the
+    face it came from."""
+    keys = arr[pos]
     free = (keys & up) != 0
-    return np.concatenate([(keys ^ up)[free], (keys ^ up ^ bits)[free]])
+    tags = np.broadcast_to((pos << 6) | 1, free.shape)[free]
+    facets = np.concatenate([(keys ^ up)[free], (keys ^ up ^ bits)[free]])
+    return facets, np.concatenate([tags, tags])
 
 
 def _free_pair_collapse(keys: np.ndarray, d: int) -> np.ndarray:
@@ -248,22 +242,29 @@ def _free_pair_collapse(keys: np.ndarray, d: int) -> np.ndarray:
     Removing it with that coface is an elementary collapse, so the result
     is a downward-closed subcomplex homotopy equivalent to the input.
 
-    The collapse runs in frontier rounds on the sorted key array, with an
-    ``alive`` mask and the number of live cofaces of every face.  Each
+    The collapse runs in frontier rounds on the sorted key array ``arr``,
+    with an ``alive`` mask and one int64 ``live`` per face: the number of
+    its live cofaces in the low 6 bits and the sum of their positions in
+    ``arr`` above them.  A p-face has at most d - p <= 20 cofaces, so the
+    count never carries into the sum, and the sum, below 20 n, fits in
+    int64 for any n below 2^52.  ``live`` is filled from the facet side:
+    every face adds ``(position << 6) | 1`` at each of its facets.  Each
     round, every face of the frontier (the alive faces with one live
-    coface) finds that coface, a coface claimed by several free faces keeps
-    only its first pair, and all pairs are removed at once.  In a
-    downward-closed complex a free face is never the coface of another free
-    face (the two faces between it and the coface's coface would both
-    contain it), so after the shared cofaces are resolved the pairs of one
-    round are disjoint and removing them is a chain of elementary
-    collapses.  The facets of the removed faces lose one coface each, and
-    those left alive with one coface form the next frontier.
+    coface) reads that coface as ``live >> 6``, a coface claimed by several
+    free faces keeps only its first pair, and all pairs are removed at
+    once.  In a downward-closed complex a free face is never the coface of
+    another free face (the two faces between it and the coface's coface
+    would both contain it), so after the shared cofaces are resolved the
+    pairs of one round are disjoint and removing them is a chain of
+    elementary collapses.  Every removed face subtracts its value at its
+    facets, and the facets left alive with one coface form the next
+    frontier.
 
-    Coface and facet lookups treat all d coordinates at once as rows of a
-    (d, m) array.  Faces go through them in slices of ``max(n // d, 1024)``
-    so that no temporary holds much more than n keys.  The collapse is
-    deterministic and returns the surviving keys sorted.
+    Facets are found with one ``searchsorted`` over all d coordinates at
+    once, as rows of a (d, m) array.  Faces go through in slices of
+    ``max(n // d, 1024)`` so that no temporary holds much more than n keys.
+    No coface is ever searched for.  The collapse is deterministic and
+    returns the surviving keys sorted.
     """
     if not len(keys):
         return keys
@@ -273,27 +274,24 @@ def _free_pair_collapse(keys: np.ndarray, d: int) -> np.ndarray:
     up = bits << d
     step = max(n // d, 1024)
     alive = np.ones(n, dtype=bool)
-    counts = np.empty(n, dtype=np.int64)
+    live = np.zeros(n, dtype=np.int64)
     for s in range(0, n, step):
-        _, live = _live_cofaces(arr, alive, arr[s : s + step], bits, up)
-        counts[s : s + step] = live.sum(axis=0)
-    frontier = np.flatnonzero(counts == 1)
+        facets, tags = _facets(arr, np.arange(s, min(s + step, n)), bits, up)
+        np.add.at(live, arr.searchsorted(facets), tags)
+    frontier = np.flatnonzero(live & 63 == 1)
     while len(frontier):
-        coface = np.empty(len(frontier), dtype=np.int64)
-        for s in range(0, len(frontier), step):
-            pos, live = _live_cofaces(arr, alive, arr[frontier[s : s + step]], bits, up)
-            coface[s : s + step] = (pos * live).sum(axis=0)  # one live coface each
-        cofaces, first = np.unique(coface, return_index=True)
+        cofaces, first = np.unique(live[frontier] >> 6, return_index=True)
         removed = np.concatenate([frontier[first], cofaces])
         alive[removed] = False
         # a face has its final count after the last slice that touches it
         touched = []
         for s in range(0, len(removed), step):
-            hit = arr.searchsorted(_facets(arr[removed[s : s + step]], bits, up))
-            np.subtract.at(counts, hit, 1)
-            touched.append(hit[alive[hit] & (counts[hit] == 1)])
+            facets, tags = _facets(arr, removed[s : s + step], bits, up)
+            hit = arr.searchsorted(facets)
+            np.subtract.at(live, hit, tags)
+            touched.append(hit[alive[hit] & (live[hit] & 63 == 1)])
         touched = np.concatenate(touched)
-        frontier = _sorted_unique(touched[counts[touched] == 1])
+        frontier = _sorted_unique(touched[live[touched] & 63 == 1])
     return arr[alive]
 
 

@@ -356,17 +356,16 @@ def check_projection_constructions(
             constructive = eliminate_affine(instance, dims)
             observed = affine_solutions(constructive)
             in_class = _is_coset(observed.sorted_members())
-            serialization = emit_affine(instance)
         else:
             brute = project(enumerate_solutions(instance), dims)
             constructive = eliminate_clausal(instance, dims, params.flavor)
             observed = enumerate_solutions(constructive)
             in_class = formula_in_flavor(constructive, params.flavor)
-            serialization = emit_dimacs(instance)
 
         if observed != brute or not in_class:
+            emit = emit_affine if params.flavor == FLAVOR_AFFINE else emit_dimacs
             return Failure(
-                f"{serialization} | eliminate {sorted(dims)}",
+                f"{emit(instance)} | eliminate {sorted(dims)}",
                 f"projection onto {d - len(dims)} dims, class preserved",
                 f"match={observed == brute} in_class={in_class}",
             )

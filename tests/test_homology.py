@@ -187,11 +187,14 @@ def _euler(keys, d):
         lambda: _formula_complex("horn", 1, (7, 7)),
         lambda: _formula_complex("two_sat", 7, (7, 7)),
         lambda: _wedge_union(5, 1),
+        lambda: _wedge_union(8, 0),
+        lambda: _random_set(12, 2300, 0),
         lambda: induce_complex(affine_solutions(AffineSystem(4, ((0b1111, 0),)))),
         lambda: induce_complex(VertexSet(3, frozenset({5}))),
     ],
     ids=["random-0", "random-1", "random-2", "horn", "dual_horn", "two_sat",
-         "random-d9", "horn-d7", "two_sat-d7", "wedge-union-d5", "edge-free", "vertex"],
+         "random-d9", "horn-d7", "two_sat-d7", "wedge-union-d5", "wedge-union-d8",
+         "random-d12", "edge-free", "vertex"],
 )
 def test_free_pair_collapse_agrees_with_unreduced(make):
     complex_ = make()
@@ -242,6 +245,32 @@ def test_full_cube_12_collapses_to_a_point_in_bounded_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 16 * keys.nbytes, peak / keys.nbytes
+
+
+def test_stars_up_to_the_most_cofaces_collapse_to_their_centre():
+    """Vertex 0 with k of its neighbours in d=20 has k live cofaces; at
+    k = 20, the most a face can have, the collapse's coface count takes its
+    largest value.  With k >= 2 arms the centre is never free, so every
+    star collapses to it."""
+    d = 20
+    for k in range(2, d + 1):
+        complex_ = induce_complex(VertexSet(d, frozenset({0} | {1 << j for j in range(k)})))
+        assert complex_.f_vector() == (k + 1, k)
+        assert _free_pair_collapse(complex_.face_keys(), d).tolist() == [0]
+
+
+def test_random_d16_collapse_keeps_its_survivors_in_bounded_memory():
+    members = np.flatnonzero(np.random.default_rng(1).random(1 << 16) < 0.5)
+    keys = induce_complex(VertexSet(16, frozenset(members.tolist()))).face_keys()
+    assert len(keys) == 306_081
+    tracemalloc.start()
+    try:
+        collapsed = _free_pair_collapse(keys, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(collapsed) == 224_461
     assert peak <= 16 * keys.nbytes, peak / keys.nbytes
 
 

@@ -18,6 +18,8 @@ from csptopo import (
     check_tractable_homology,
     check_trivially_valid,
     check_wedge_union,
+    emit_affine,
+    emit_dimacs,
     enumerate_solutions,
     formula_in_flavor,
     homology,
@@ -26,6 +28,7 @@ from csptopo import (
     relation_properties,
     skeleton_components,
 )
+from csptopo import verify
 from csptopo.relations import PAIR_MAX, _is_coset
 
 
@@ -244,6 +247,23 @@ def test_check_projection_constructions_all_flavors():
     for flavor in ("two_sat", "horn", "dual_horn", "affine"):
         params = GeneratorParams(flavor=flavor, dim_range=(2, 7), count_range=(1, 8), seed=14)
         assert check_projection_constructions(params, trials=60).passed
+
+
+@pytest.mark.parametrize(
+    "flavor, eliminate, emit",
+    [("horn", "eliminate_clausal", emit_dimacs), ("affine", "eliminate_affine", emit_affine)],
+)
+def test_projection_failure_names_the_serialized_instance(monkeypatch, flavor, eliminate, emit):
+    """A construction that eliminates nothing fails every trial that drops a
+    coordinate, and each failure names the instance as it is emitted."""
+    monkeypatch.setattr(verify, eliminate, lambda instance, *rest: instance)
+    params = GeneratorParams(flavor=flavor, dim_range=(3, 6), count_range=(1, 6), seed=14)
+    report = check_projection_constructions(params, trials=20)
+    assert report.failures
+    expected = {emit(random_formula(params, trial)) for trial in range(20)}
+    for failure in report.failures:
+        text, _, dims = failure.instance.rpartition(" | eliminate ")
+        assert text in expected and dims != "[]"
 
 
 def test_is_affine_set_detects_non_cosets():
